@@ -92,8 +92,7 @@ def _cmd_count(args) -> int:
 def _cmd_double(args) -> int:
     S = load_pointset(args.pointset)
     S0 = normalize_coordinates(S)
-    epsilon = formats.parse_coord(args.epsilon) if args.epsilon else None
-    S2, _, cert = replicate_certified(S0, args.m, epsilon)
+    S2, _, cert = replicate_certified(S0, args.m, args.epsilon)
     out = Path(args.output)
     formats.save_pointset(S2, out, comment=f"{args.m} copies of {len(S)} source points")
     cert_path = out.with_name(out.name + ".cert")
@@ -231,6 +230,16 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _positive_spacing(text: str):
+    try:
+        value = formats.parse_coord(text)
+    except (ValueError, ZeroDivisionError):
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"spacing must be a positive integer or p/q, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossfam",
@@ -260,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("double", _cmd_double, "replicate each point with a certified spacing")
     p.add_argument("pointset")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--epsilon", help="spacing as integer or p/q (default: certified search)")
+    p.add_argument("--epsilon", type=_positive_spacing,
+                   help="spacing as integer or p/q (default: certified search)")
     p.add_argument("-o", "--output", required=True)
 
     p = add("bound", _cmd_bound, "best known upper bound for cf(n)")

@@ -13,14 +13,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import NotGeneralPositionError, SizeLimitError
+from .chirotope import crossing_rows, orientation_table
+from .errors import SizeLimitError
 from .geometry import (
     PointSet,
     Segment,
     all_segments,
     integer_coordinates,
     segments_cross,
-    _collinear_triple,
 )
 
 CrossingFamily = tuple[Segment, ...]
@@ -48,9 +48,6 @@ class CrossingGraph:
     def crosses(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i] >> j & 1)
 
-    def degree(self, i: int) -> int:
-        return self.adjacency[i].bit_count()
-
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
@@ -59,87 +56,26 @@ class CrossingGraph:
         return len(self.segments)
 
 
-def _triple_signs(coords: list[tuple[int, int]]) -> dict[tuple[int, int, int], int]:
-    """Orientation sign (+1 ccw / -1 cw) for every sorted index triple."""
-    n = len(coords)
-    signs: dict[tuple[int, int, int], int] = {}
-    for a in range(n - 2):
-        ax, ay = coords[a]
-        for b in range(a + 1, n - 1):
-            ux = coords[b][0] - ax
-            uy = coords[b][1] - ay
-            for c in range(b + 1, n):
-                d = ux * (coords[c][1] - ay) - uy * (coords[c][0] - ax)
-                signs[(a, b, c)] = 1 if d > 0 else -1 if d < 0 else 0
-    return signs
-
-
-def _orient3(signs, a: int, b: int, c: int) -> int:
-    # a < b; c distinct from both
-    if c > b:
-        return signs[(a, b, c)]
-    if c < a:
-        return signs[(c, a, b)]
-    return -signs[(a, c, b)]
-
-
-def _adjacency_bitsets(coords: list[tuple[int, int]]) -> tuple[tuple[tuple[int, int], ...], list[int]]:
-    """Segment list (index pairs) and adjacency bitsets for integer coordinates.
-
-    Assumes general position: every orientation sign is +-1.
-    """
-    n = len(coords)
-    segs = tuple(combinations(range(n), 2))
-    signs = _triple_signs(coords)
-    m = len(segs)
-    adj = [0] * m
-    for i in range(m - 1):
-        a, b = segs[i]
-        for j in range(i + 1, m):
-            c, d = segs[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            if _orient3(signs, a, b, c) == _orient3(signs, a, b, d):
-                continue
-            if _orient3(signs, c, d, a) == _orient3(signs, c, d, b):
-                continue
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return segs, adj
-
-
 def build_crossing_graph(S: PointSet) -> CrossingGraph:
     """Crossing graph over all segments of ``S`` (requires general position, n >= 2)."""
     if len(S) < 2:
         raise ValueError("need at least two points to span a segment")
-    coords = integer_coordinates(S)
-    bad = _collinear_triple(coords)
-    if bad is not None:
-        raise NotGeneralPositionError(f"points {bad} are collinear")
-    segs, adj = _adjacency_bitsets(coords)
-    return CrossingGraph(S, all_segments(len(S)), tuple(adj))
+    table = orientation_table(integer_coordinates(S))
+    return CrossingGraph(S, all_segments(len(S)), tuple(crossing_rows(table, len(S))))
 
 
 def _degeneracy_order(adj: Sequence[int]) -> list[int]:
     """Removal order: repeatedly delete a minimum-degree vertex (ties: smallest index)."""
-    n = len(adj)
-    alive = (1 << n) - 1
-    degs = [adj[v].bit_count() for v in range(n)]
+    degs = [row.bit_count() for row in adj]
+    alive = list(range(len(adj)))
+    alive_bits = (1 << len(adj)) - 1
     order = []
-    for _ in range(n):
-        best = -1
-        best_deg = n + 1
-        rest = alive
-        while rest:
-            bit = rest & -rest
-            v = bit.bit_length() - 1
-            rest ^= bit
-            if degs[v] < best_deg:
-                best_deg = degs[v]
-                best = v
+    while alive:
+        best = min(alive, key=degs.__getitem__)
         order.append(best)
-        alive ^= 1 << best
-        neigh = adj[best] & alive
+        alive.remove(best)
+        alive_bits ^= 1 << best
+        neigh = adj[best] & alive_bits
         while neigh:
             bit = neigh & -neigh
             degs[bit.bit_length() - 1] -= 1
@@ -272,8 +208,12 @@ def _count_cliques(adj: Sequence[int], k: int) -> int:
 
     def rec(cand: int, remaining: int) -> None:
         nonlocal total
-        if remaining == 1:
-            total += cand.bit_count()
+        if remaining == 2:
+            # last two levels: each vertex pairs with its later neighbours
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                total += (adj[bit.bit_length() - 1] & cand).bit_count()
             return
         while cand:
             if cand.bit_count() < remaining:

@@ -56,9 +56,6 @@ class CopyMap:
     def source_of(self, index: int) -> int:
         return self.entries[index][0]
 
-    def copy_number_of(self, index: int) -> int:
-        return self.entries[index][1]
-
     def copies_of(self, source: int) -> tuple[int, ...]:
         return tuple(i for i, (src, _) in enumerate(self.entries) if src == source)
 

@@ -32,8 +32,9 @@ from itertools import combinations
 from pathlib import Path
 from typing import BinaryIO, Iterable, Optional, Sequence, Union
 
+from .chirotope import crossing_rows, orientation_table, triple_sign
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
-from .geometry import PointSet, Segment, integer_coordinates, is_general_position
+from .geometry import PointSet, Segment, integer_coordinates
 
 Assignment = list[bool]
 
@@ -258,30 +259,23 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
     """
     if len(S) != vm.n:
         raise ValueError(f"point set has {len(S)} points, variable map expects {vm.n}")
-    if not is_general_position(S):
-        raise NotGeneralPositionError("assignment requires general position")
-    if len({p.x for p in S}) != len(S):
-        raise ValueError("x-coordinates must be pairwise distinct; apply normalize_coordinates")
     order = sorted(range(len(S)), key=lambda i: S[i].x)
     raw = integer_coordinates(S)
     coords = [raw[i] for i in order]
-
+    try:
+        table = orientation_table(coords)
+    except NotGeneralPositionError:
+        raise NotGeneralPositionError("assignment requires general position") from None
+    if len({p.x for p in S}) != len(S):
+        raise ValueError("x-coordinates must be pairwise distinct; apply normalize_coordinates")
+    n = vm.n
     asg: Assignment = [False] * (vm.num_vars + 1)
-
-    def orient(a: int, b: int, c: int) -> int:
-        ax, ay = coords[a]
-        bx, by = coords[b]
-        cx, cy = coords[c]
-        d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        return 1 if d > 0 else -1
-
     for (a, b, c), var in vm._triple_id.items():
-        asg[var] = orient(a, b, c) > 0
-    for ((a, b), (c, d)), var in vm._pair_id.items():
-        asg[var] = (
-            orient(a, b, c) != orient(a, b, d)
-            and orient(c, d, a) != orient(c, d, b)
-        )
+        asg[var] = triple_sign(table, n, a, b, c) > 0
+    rows = crossing_rows(table, n)
+    segment = {s: i for i, s in enumerate(combinations(range(n), 2))}
+    for (s1, s2), var in vm._pair_id.items():
+        asg[var] = bool(rows[segment[s1]] >> segment[s2] & 1)
     return asg
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Optional
 
+from .chirotope import crossing_rows, orientation_table, refresh_point_rows, update_point_signs
 from .crossing import _count_cliques, count_k_families
-from .errors import RetryExhaustedError
-from .geometry import PointSet, _cross_int, is_general_position, normalize_coordinates
+from .errors import NotGeneralPositionError, RetryExhaustedError
+from .geometry import PointSet, normalize_coordinates
 from .replication import choose_epsilon, replicate
 
 TraceRow = tuple[int, float, int, int]
@@ -53,10 +53,10 @@ class SearchConfig:
             raise ValueError("iterations must be at least 1")
         if not 0 < self.cooling_rate < 1:
             raise ValueError("cooling rate must lie strictly between 0 and 1")
-        if self.initial_temperature <= 0:
-            raise ValueError("initial temperature must be positive")
-        if self.step_sigma < 0:
-            raise ValueError("step sigma must be non-negative")
+        if not 0 < self.initial_temperature < math.inf:
+            raise ValueError("initial temperature must be positive and finite")
+        if not 0 <= self.step_sigma < math.inf:
+            raise ValueError("step sigma must be non-negative and finite")
         if self.grid_bound < self.n * self.n:
             raise ValueError(f"grid bound must be at least n^2 = {self.n * self.n}")
 
@@ -79,34 +79,16 @@ def _discrete_gauss(rng: random.Random, sigma: float) -> int:
     return rng.getrandbits(2 * half).bit_count() - half
 
 
-def _gp_with_moved(coords: list[tuple[int, int]], moved: int) -> bool:
-    """General-position check restricted to triples containing ``moved``."""
-    mx, my = coords[moved]
-    n = len(coords)
-    for b in range(n - 1):
-        if b == moved:
-            continue
-        ux = coords[b][0] - mx
-        uy = coords[b][1] - my
-        if ux == 0 and uy == 0:
-            return False
-        for c in range(b + 1, n):
-            if c == moved:
-                continue
-            if ux * (coords[c][1] - my) == uy * (coords[c][0] - mx):
-                return False
-    return True
-
-
 def random_general_position(n: int, rng: random.Random, bound: int) -> PointSet:
     """Uniform integer points in [-bound, bound]^2, resampled into general position."""
     if n >= 1 and bound < 1:
         raise ValueError("bound must be positive")
     coords: list[tuple[int, int]] = []
+    scratch = [0] * n ** 3  # only the general-position verdict of each pass is read
     for i in range(n):
         for _ in range(_MAX_RETRIES):
             coords.append((rng.randint(-bound, bound), rng.randint(-bound, bound)))
-            if _gp_with_moved(coords, i):
+            if update_point_signs(scratch, coords, i):
                 break
             coords.pop()
         else:
@@ -132,6 +114,7 @@ def perturb(
     coords = [(int(p.x), int(p.y)) for p in S]
     if PointSet.from_coords(coords) != S:
         raise ValueError("perturbation requires integer coordinates")
+    scratch = [0] * len(coords) ** 3  # only the general-position verdict is read
     for _ in range(max_retries):
         idx = rng.randrange(len(coords))
         dx = _discrete_gauss(rng, sigma)
@@ -145,46 +128,10 @@ def perturb(
         if (x, y) == old:
             continue
         coords[idx] = (x, y)
-        if _gp_with_moved(coords, idx):
+        if update_point_signs(scratch, coords, idx):
             return PointSet.from_coords(coords)
         coords[idx] = old
     raise RetryExhaustedError(f"no general-position move found in {max_retries} tries")
-
-
-def _build_rows(coords: list[tuple[int, int]], segs) -> list[int]:
-    adj = [0] * len(segs)
-    for i in range(len(segs) - 1):
-        a, b = segs[i]
-        for j in range(i + 1, len(segs)):
-            c, d = segs[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            if _cross_int(coords, a, b, c, d):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
-
-
-def _refresh_point(adj: list[int], coords, segs, incident: list[int]) -> None:
-    """Recompute the adjacency rows of the segments in ``incident``."""
-    m = len(segs)
-    for i in incident:
-        a, b = segs[i]
-        row = 0
-        for j in range(m):
-            if j == i:
-                continue
-            c, d = segs[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            if _cross_int(coords, a, b, c, d):
-                row |= 1 << j
-        changed = adj[i] ^ row
-        adj[i] = row
-        while changed:
-            bit = changed & -changed
-            adj[bit.bit_length() - 1] ^= 1 << i
-            changed ^= bit
 
 
 def anneal(
@@ -195,6 +142,8 @@ def anneal(
     """Metropolis search minimizing the number of k-crossing families.
 
     Exponential cooling, single-point moves, early exit at objective zero.
+    Unless the initial objective is already zero, every initial point must
+    lie on the grid ``[-grid_bound, grid_bound]^2``.
     A KeyboardInterrupt stops the loop cleanly and returns the state so far.
     ``on_improve(iteration, best_objective)`` fires when the best improves.
     """
@@ -203,13 +152,13 @@ def anneal(
     coords = [(int(p.x), int(p.y)) for p in initial]
     if PointSet.from_coords(coords) != initial:
         raise ValueError("initial set must have integer coordinates")
-    if not is_general_position(initial):
-        raise ValueError("initial set must be in general position")
+    try:
+        signs = orientation_table(coords)
+    except NotGeneralPositionError:
+        raise ValueError("initial set must be in general position") from None
 
     rng = random.Random(cfg.seed)
-    segs = tuple(combinations(range(cfg.n), 2))
-    incident = [[i for i, s in enumerate(segs) if p in s] for p in range(cfg.n)]
-    adj = _build_rows(coords, segs)
+    adj = crossing_rows(signs, cfg.n)
 
     current_obj = _count_cliques(adj, cfg.k)
     best = list(coords)
@@ -218,6 +167,11 @@ def anneal(
     trace: list[TraceRow] = [(0, temperature, current_obj, best_obj)]
 
     if best_obj > 0:
+        # Moves clamp to the grid, so a point outside it would jump on its first move.
+        for x, y in coords:
+            if max(abs(x), abs(y)) > cfg.grid_bound:
+                raise ValueError(f"initial point ({x}, {y}) lies outside the grid "
+                                 f"[-{cfg.grid_bound}, {cfg.grid_bound}]^2")
         try:
             for iteration in range(1, cfg.iterations + 1):
                 temperature *= cfg.cooling_rate
@@ -232,17 +186,18 @@ def anneal(
                         continue
                     old_point = coords[idx]
                     coords[idx] = (x, y)
-                    if _gp_with_moved(coords, idx):
+                    if update_point_signs(signs, coords, idx):
                         moved = idx
                         break
                     coords[idx] = old_point
+                    update_point_signs(signs, coords, idx)
                 if moved < 0:
                     raise RetryExhaustedError(
                         f"no general-position move found at iteration {iteration}"
                     )
 
                 saved_rows = adj.copy()
-                _refresh_point(adj, coords, segs, incident[moved])
+                refresh_point_rows(adj, signs, cfg.n, moved)
                 proposed_obj = _count_cliques(adj, cfg.k)
                 delta = proposed_obj - current_obj
                 if delta <= 0 or (
@@ -257,11 +212,14 @@ def anneal(
                             on_improve(iteration, best_obj)
                 else:
                     coords[moved] = old_point
+                    update_point_signs(signs, coords, moved)
                     adj = saved_rows
 
                 trace.append((iteration, temperature, current_obj, best_obj))
 
-                if iteration % _CHECK_INTERVAL == 0 and adj != _build_rows(coords, segs):
+                if iteration % _CHECK_INTERVAL == 0 and (
+                    signs != orientation_table(coords) or adj != crossing_rows(signs, cfg.n)
+                ):
                     raise AssertionError("incremental crossing-graph update drifted")
                 if best_obj == 0:
                     break

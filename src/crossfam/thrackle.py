@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-import networkx as nx
-
 from .geometry import PointSet, Segment, convex_position_points, segments_cross
 
 
@@ -52,33 +50,65 @@ def is_geometric_thrackle(G: GeometricGraph) -> bool:
     return True
 
 
-def _as_nx(G: GeometricGraph) -> nx.Graph:
-    H = nx.Graph()
-    H.add_nodes_from(range(len(G.pointset)))
-    H.add_edges_from((e.a, e.b) for e in G.edges)
-    return H
+def _edge_blocks(G: GeometricGraph) -> list[list[tuple[int, int]]]:
+    """Edge sets of the biconnected blocks, by an iterative Hopcroft-Tarjan DFS."""
+    n = len(G.pointset)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for e in G.sorted_edges():
+        neighbours[e.a].append(e.b)
+        neighbours[e.b].append(e.a)
+    disc = [-1] * n
+    low = [0] * n
+    clock = 0
+    blocks = []
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(neighbours[root]))]
+        edges: list[tuple[int, int]] = []
+        while stack:
+            v, parent, rest = stack[-1]
+            for w in rest:
+                if disc[w] < 0:
+                    edges.append((v, w))
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(neighbours[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edges.append((v, w))  # back edge
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:  # u separates the block below tree edge uv
+                        block = []
+                        while not block or block[-1] != (u, v):
+                            block.append(edges.pop())
+                        blocks.append(block)
+    return blocks
 
 
 def has_even_cycle(G: GeometricGraph) -> bool:
     """True iff the abstract graph contains a simple cycle of even length."""
-    H = _as_nx(G)
-    for block in nx.biconnected_component_edges(H):
-        edges = list(block)
-        if len(edges) < 2:
+    for block in _edge_blocks(G):
+        if len(block) < 2:
             continue  # bridge
-        vertices = {v for e in edges for v in e}
-        if len(edges) > len(vertices):
+        vertices = {v for e in block for v in e}
+        if len(block) > len(vertices):
             return True  # theta subgraph forces an even cycle
-        if len(edges) % 2 == 0:
+        if len(block) % 2 == 0:
             return True  # the block is a single even cycle
     return False
 
 
 def is_forest(G: GeometricGraph) -> bool:
-    """True iff the abstract graph is acyclic."""
-    if len(G.pointset) == 0:
-        return True
-    return nx.is_forest(_as_nx(G))
+    """True iff the abstract graph is acyclic, i.e. every block is a bridge."""
+    return all(len(block) == 1 for block in _edge_blocks(G))
 
 
 def star_polygon(c: int) -> GeometricGraph:

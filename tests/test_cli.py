@@ -98,6 +98,17 @@ class TestDouble:
         cert = parse_certificate((tmp_path / "out.txt.cert").read_text())
         assert not cert.certified
 
+    @pytest.mark.parametrize("epsilon", ["1/0", "0", "-1/2", "x"])
+    def test_bad_epsilon_is_usage_error(self, capsys, pentagon_file, tmp_path, epsilon):
+        with pytest.raises(SystemExit) as exc:
+            main(["double", pentagon_file, "--m", "2", f"--epsilon={epsilon}",
+                  "-o", str(tmp_path / "out.txt")])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert "error: argument --epsilon: spacing must be a positive" in err
+        assert not (tmp_path / "out.txt").exists()
+
 
 class TestBoundKnown:
     def test_bound_41(self, capsys):

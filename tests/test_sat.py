@@ -7,7 +7,14 @@ import pytest
 
 from crossfam.crossing import max_crossing_family
 from crossfam.errors import ParseError, SignotopeViolationError
-from crossfam.geometry import PointSet, convex_position_points, normalize_coordinates
+from crossfam.geometry import (
+    PointSet,
+    all_segments,
+    convex_position_points,
+    normalize_coordinates,
+    orientation,
+    segments_cross,
+)
 from crossfam.sat import (
     Cnf,
     VarMap,
@@ -20,6 +27,7 @@ from crossfam.sat import (
     parse_model,
     verify_assignment,
 )
+from crossfam.store import bundled_names, load_bundled
 from conftest import NINE_POINT_CF2, random_pointset
 
 
@@ -183,6 +191,19 @@ class TestAssignmentFromPointset:
         vm = VarMap(4)
         assert assignment_from_pointset(sorted_set, vm) \
             == assignment_from_pointset(shuffled, vm)
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_bundled_witnesses_match_pairwise_predicates(self, name):
+        S = normalize_coordinates(load_bundled(name)[0])
+        P = PointSet(tuple(sorted(S.points, key=lambda p: p.x)))
+        vm = VarMap(len(P))
+        expected = [False] * (vm.num_vars + 1)
+        for a, b, c in combinations(range(len(P)), 3):
+            expected[vm.triple_var(a, b, c)] = orientation(P[a], P[b], P[c]) > 0
+        for s1, s2 in combinations(all_segments(len(P)), 2):
+            if not s1.shares_endpoint(s2):
+                expected[vm.pair_var(s1, s2)] = segments_cross(P, s1, s2)
+        assert assignment_from_pointset(S, vm) == expected
 
     def test_duplicate_x_rejected(self):
         S = PointSet.from_coords([(0, 0), (0, 2), (2, 1), (3, 3)])

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 
 import pytest
@@ -34,6 +36,12 @@ class TestSearchConfig:
             SearchConfig(n=8, k=3, seed=1, iterations=10, cooling_rate=1.0)
         with pytest.raises(ValueError):
             SearchConfig(n=8, k=3, seed=1, iterations=10, grid_bound=10)
+
+    @pytest.mark.parametrize("field", ["initial_temperature", "step_sigma"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_schedule_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SearchConfig(n=8, k=3, seed=1, iterations=10, **{field: value})
 
 
 class TestPerturb:
@@ -140,6 +148,32 @@ class TestAnneal:
         cfg = SearchConfig(n=7, k=3, seed=0, iterations=10)
         with pytest.raises(ValueError):
             anneal(cfg, convex_position_points(6))
+
+    def test_initial_outside_grid_rejected(self):
+        from conftest import NINE_POINT_CF2
+
+        scaled = PointSet.from_coords((1000 * x, 1000 * y) for x, y in NINE_POINT_CF2)
+        cfg = SearchConfig(n=9, k=2, seed=0, iterations=10)
+        with pytest.raises(ValueError, match="outside the grid"):
+            anneal(cfg, scaled)
+        wide = SearchConfig(n=9, k=2, seed=0, iterations=10, grid_bound=77_000)
+        assert len(anneal(wide, scaled).trace) == 11
+
+    # SHA-256 of (initial, trace, best, current, best objective) for fixed
+    # seeds: changes to the incremental updates must keep every run
+    # bit-identical. 5000 iterations pass the drift guard at 4096.
+    @pytest.mark.parametrize("n, k, seed, iterations, digest", [
+        (8, 3, 1, 300, "bb17a5fd1a011866fd033f3943d5199e1fef2f1ea78ec35ce279cd75e4aa6fdf"),
+        (12, 3, 5, 150, "d36b40e2129c314711165cad748d2d88257d780f9b3bbb8572d171d444faebbf"),
+        (16, 4, 11, 40, "6d870e08c3275826c7525788d4f1325a456e08f5655b69c5ba510231efbd46f3"),
+        (9, 2, 4, 5000, "839ad908e7d4b67c297079ce89bdc608be06e8b1c5e71a785e3c621d78db9473"),
+    ])
+    def test_golden_traces(self, n, k, seed, iterations, digest):
+        cfg = SearchConfig(n=n, k=k, seed=seed, iterations=iterations)
+        initial = random_general_position(n, random.Random(seed + 1000), cfg.grid_bound)
+        state = anneal(cfg, initial)
+        record = (initial, state.trace, state.best, state.current, state.best_objective)
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
 
 class TestSeedByDoubling:

@@ -116,6 +116,21 @@ class TestIsForest:
     def test_empty_pointset(self):
         assert is_forest(GeometricGraph(PointSet.from_coords([]), frozenset()))
 
+    def test_matches_networkx_on_random_graphs(self, rng):
+        from itertools import combinations
+
+        nx = pytest.importorskip("networkx")
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            density = rng.choice((0.15, 0.3, 0.5))
+            S = convex_position_points(n)
+            edges = frozenset(Segment(a, b) for a, b in combinations(range(n), 2)
+                              if rng.random() < density)
+            H = nx.Graph()
+            H.add_nodes_from(range(n))
+            H.add_edges_from((e.a, e.b) for e in edges)
+            assert is_forest(GeometricGraph(S, edges)) == nx.is_forest(H)
+
 
 def grow_random_thrackle(S, rng):
     """Add segments in random order while the thrackle property survives."""
@@ -140,7 +155,7 @@ class TestThrackleCycleLaw:
             assert not has_even_cycle(G)
 
     def test_bipartite_thrackles_are_forests(self, rng):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         for _ in range(80):
             S = random_pointset(rng, rng.randint(4, 7))
