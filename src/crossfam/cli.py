@@ -195,7 +195,8 @@ def _cmd_search(args) -> int:
         Path(args.config).read_text(encoding="utf-8")
     )
     if initial_path:
-        initial = load_pointset(initial_path)
+        # relative to the config file; an absolute path replaces the parent
+        initial = load_pointset(Path(args.config).parent / initial_path)
     else:
         initial = random_general_position(cfg.n, random.Random(cfg.seed), cfg.grid_bound)
 

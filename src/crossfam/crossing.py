@@ -64,25 +64,6 @@ def build_crossing_graph(S: PointSet) -> CrossingGraph:
     return CrossingGraph(S, all_segments(len(S)), tuple(crossing_rows(table, len(S))))
 
 
-def _degeneracy_order(adj: Sequence[int]) -> list[int]:
-    """Removal order: repeatedly delete a minimum-degree vertex (ties: smallest index)."""
-    degs = [row.bit_count() for row in adj]
-    alive = list(range(len(adj)))
-    alive_bits = (1 << len(adj)) - 1
-    order = []
-    while alive:
-        best = min(alive, key=degs.__getitem__)
-        order.append(best)
-        alive.remove(best)
-        alive_bits ^= 1 << best
-        neigh = adj[best] & alive_bits
-        while neigh:
-            bit = neigh & -neigh
-            degs[bit.bit_length() - 1] -= 1
-            neigh ^= bit
-    return order
-
-
 class _TargetReached(Exception):
     pass
 
@@ -99,21 +80,36 @@ class CliqueSearch:
 
     def __init__(self, adjacency: Sequence[int]):
         n = len(adjacency)
-        order = _degeneracy_order(adjacency)
-        # internal label 0 = last vertex removed (highest core number)
-        self._to_original = list(reversed(order))
-        rank = [0] * n
-        for new, old in enumerate(self._to_original):
-            rank[old] = new
+        # Repeatedly remove a minimum-degree vertex (ties: smallest index) and
+        # give the k-th removed the internal label n-1-k, so label 0 is the
+        # last removed (highest core number). An edge is relabeled when its
+        # second endpoint is removed.
+        degs = [row.bit_count() for row in adjacency]
+        alive = list(range(n))
+        alive_bits = (1 << n) - 1
+        label = [0] * n
+        self._to_original = [0] * n
         self._adj = [0] * n
-        for old in range(n):
-            row = adjacency[old]
+        for new in range(n - 1, -1, -1):
+            v = min(alive, key=degs.__getitem__)
+            alive.remove(v)
+            alive_bits ^= 1 << v
+            label[v] = new
+            self._to_original[new] = v
+            neigh = adjacency[v] & alive_bits
+            removed = adjacency[v] ^ neigh
+            while neigh:
+                bit = neigh & -neigh
+                degs[bit.bit_length() - 1] -= 1
+                neigh ^= bit
             packed = 0
-            while row:
-                bit = row & -row
-                packed |= 1 << rank[bit.bit_length() - 1]
-                row ^= bit
-            self._adj[rank[old]] = packed
+            while removed:
+                bit = removed & -removed
+                u = label[bit.bit_length() - 1]
+                packed |= 1 << u
+                self._adj[u] |= 1 << new
+                removed ^= bit
+            self._adj[new] = packed
         self._n = n
         self.best_size = 0
         self.best: tuple[int, ...] = ()

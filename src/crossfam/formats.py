@@ -166,6 +166,9 @@ def format_certificate(cert) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FLAGS = {"true": True, "false": False}
+
+
 def parse_certificate(text: str):
     from .replication import ReplicationCertificate
 
@@ -175,16 +178,26 @@ def parse_certificate(text: str):
         if not sep:
             raise ParseError(f"expected 'key: value', got {line!r}", lineno)
         values[key.strip()] = value.strip()
-    try:
-        return ReplicationCertificate(
-            epsilon=parse_coord(values["epsilon"]),
-            m=int(values["m"]),
-            source_n=int(values["source_n"]),
-            cluster_isolation_ok=values["cluster_isolation"] == "true",
-            copy_order_ok=values["copy_order"] == "true",
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing certificate field {exc.args[0]!r}") from None
+
+    def field(key, convert, valid=lambda value: True):
+        if key not in values:
+            raise ParseError(f"missing certificate field {key!r}")
+        try:
+            value = convert(values[key])
+            ok = valid(value)
+        except (ValueError, ZeroDivisionError, KeyError):
+            ok = False
+        if not ok:
+            raise ParseError(f"bad certificate field {key!r}: {values[key]!r}")
+        return value
+
+    return ReplicationCertificate(
+        epsilon=field("epsilon", parse_coord, lambda eps: eps > 0),
+        m=field("m", int, lambda m: m >= 1),
+        source_n=field("source_n", int),
+        cluster_isolation_ok=field("cluster_isolation", _FLAGS.__getitem__),
+        copy_order_ok=field("copy_order", _FLAGS.__getitem__),
+    )
 
 
 _SEARCH_KEYS = {

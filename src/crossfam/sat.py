@@ -32,7 +32,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import BinaryIO, Iterable, Optional, Sequence, Union
 
-from .chirotope import crossing_rows, orientation_table, triple_sign
+from .chirotope import _segment_offsets, crossing_rows, orientation_table, triple_sign
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
 from .geometry import PointSet, Segment, integer_coordinates
 
@@ -273,9 +273,9 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
     for (a, b, c), var in vm._triple_id.items():
         asg[var] = triple_sign(table, n, a, b, c) > 0
     rows = crossing_rows(table, n)
-    segment = {s: i for i, s in enumerate(combinations(range(n), 2))}
-    for (s1, s2), var in vm._pair_id.items():
-        asg[var] = bool(rows[segment[s1]] >> segment[s2] & 1)
+    off = _segment_offsets(n)
+    for ((a, b), (c, d)), var in vm._pair_id.items():
+        asg[var] = bool(rows[off[a] + b] >> (off[c] + d) & 1)
     return asg
 
 

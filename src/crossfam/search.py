@@ -55,8 +55,8 @@ class SearchConfig:
             raise ValueError("cooling rate must lie strictly between 0 and 1")
         if not 0 < self.initial_temperature < math.inf:
             raise ValueError("initial temperature must be positive and finite")
-        if not 0 <= self.step_sigma < math.inf:
-            raise ValueError("step sigma must be non-negative and finite")
+        if not 0 < self.step_sigma < math.inf:
+            raise ValueError("step sigma must be positive and finite")
         if self.grid_bound < self.n * self.n:
             raise ValueError(f"grid bound must be at least n^2 = {self.n * self.n}")
 
@@ -96,6 +96,40 @@ def random_general_position(n: int, rng: random.Random, bound: int) -> PointSet:
     return PointSet.from_coords(coords)
 
 
+def _move(
+    coords: list[tuple[int, int]],
+    signs: list[int],
+    rng: random.Random,
+    sigma: float,
+    grid_bound: Optional[int],
+    max_retries: int,
+) -> tuple[int, tuple[int, int]]:
+    """Move one uniformly chosen point in place by a discretized Gaussian offset.
+
+    Draws the index, then the x and y offsets, clamps to the grid when
+    ``grid_bound`` is given and redraws a move that changes nothing. A move
+    that breaks general position is undone in ``coords`` and ``signs`` and
+    redrawn, up to ``max_retries`` tries. Returns the moved index and its
+    old position; ``signs`` then holds the orientations of the new set.
+    """
+    for _ in range(max_retries):
+        idx = rng.randrange(len(coords))
+        old = coords[idx]
+        x = old[0] + _discrete_gauss(rng, sigma)
+        y = old[1] + _discrete_gauss(rng, sigma)
+        if grid_bound is not None:
+            x = max(-grid_bound, min(grid_bound, x))
+            y = max(-grid_bound, min(grid_bound, y))
+        if (x, y) == old:
+            continue
+        coords[idx] = (x, y)
+        if update_point_signs(signs, coords, idx):
+            return idx, old
+        coords[idx] = old
+        update_point_signs(signs, coords, idx)
+    raise RetryExhaustedError(f"no general-position move found in {max_retries} tries")
+
+
 def perturb(
     S: PointSet,
     sigma: float,
@@ -115,23 +149,8 @@ def perturb(
     if PointSet.from_coords(coords) != S:
         raise ValueError("perturbation requires integer coordinates")
     scratch = [0] * len(coords) ** 3  # only the general-position verdict is read
-    for _ in range(max_retries):
-        idx = rng.randrange(len(coords))
-        dx = _discrete_gauss(rng, sigma)
-        dy = _discrete_gauss(rng, sigma)
-        x = coords[idx][0] + dx
-        y = coords[idx][1] + dy
-        if grid_bound is not None:
-            x = max(-grid_bound, min(grid_bound, x))
-            y = max(-grid_bound, min(grid_bound, y))
-        old = coords[idx]
-        if (x, y) == old:
-            continue
-        coords[idx] = (x, y)
-        if update_point_signs(scratch, coords, idx):
-            return PointSet.from_coords(coords)
-        coords[idx] = old
-    raise RetryExhaustedError(f"no general-position move found in {max_retries} tries")
+    _move(coords, scratch, rng, sigma, grid_bound, max_retries)
+    return PointSet.from_coords(coords)
 
 
 def anneal(
@@ -175,27 +194,9 @@ def anneal(
         try:
             for iteration in range(1, cfg.iterations + 1):
                 temperature *= cfg.cooling_rate
-                moved = -1
-                for _ in range(_MAX_RETRIES):
-                    idx = rng.randrange(cfg.n)
-                    dx = _discrete_gauss(rng, cfg.step_sigma)
-                    dy = _discrete_gauss(rng, cfg.step_sigma)
-                    x = max(-cfg.grid_bound, min(cfg.grid_bound, coords[idx][0] + dx))
-                    y = max(-cfg.grid_bound, min(cfg.grid_bound, coords[idx][1] + dy))
-                    if (x, y) == coords[idx]:
-                        continue
-                    old_point = coords[idx]
-                    coords[idx] = (x, y)
-                    if update_point_signs(signs, coords, idx):
-                        moved = idx
-                        break
-                    coords[idx] = old_point
-                    update_point_signs(signs, coords, idx)
-                if moved < 0:
-                    raise RetryExhaustedError(
-                        f"no general-position move found at iteration {iteration}"
-                    )
-
+                moved, old_point = _move(
+                    coords, signs, rng, cfg.step_sigma, cfg.grid_bound, _MAX_RETRIES
+                )
                 saved_rows = adj.copy()
                 refresh_point_rows(adj, signs, cfg.n, moved)
                 proposed_obj = _count_cliques(adj, cfg.k)

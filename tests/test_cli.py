@@ -226,6 +226,19 @@ class TestSearchCommand:
         code, out, _ = run(capsys, "search", str(cfg_path))
         assert code == 0 and "best objective 0" in out
 
+    def test_relative_initial_resolved_against_config(self, capsys, tmp_path, monkeypatch):
+        from crossfam.geometry import PointSet
+
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        (run_dir / "start.txt").write_text(
+            format_pointset(PointSet.from_coords(NINE_POINT_CF2[:6])))
+        cfg_path = run_dir / "run.cfg"
+        cfg_path.write_text("n = 6\nk = 3\nseed = 4\niterations = 50\ninitial = start.txt\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "search", "runs/run.cfg")
+        assert code == 0 and "best objective 0" in out
+
 
 class TestPlot:
     def test_writes_svg(self, capsys, pentagon_file, tmp_path):

@@ -3,8 +3,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfam.crossing import (
+    CliqueSearch,
     brute_force_cf,
     build_crossing_graph,
     count_k_families,
@@ -181,3 +184,44 @@ class TestBruteForce:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             brute_force_cf(convex_position_points(11))
+
+
+def _reference_relabel(adj):
+    """Two-step reference: min-degree removal order (ties: smallest index),
+    reversed, then every row relabeled bit by bit."""
+    degs = [row.bit_count() for row in adj]
+    alive = set(range(len(adj)))
+    order = []
+    while alive:
+        v = min(alive, key=lambda u: (degs[u], u))
+        order.append(v)
+        alive.remove(v)
+        for u in alive:
+            if adj[v] >> u & 1:
+                degs[u] -= 1
+    to_original = order[::-1]
+    rank = {old: new for new, old in enumerate(to_original)}
+    relabeled = [0] * len(adj)
+    for old, row in enumerate(adj):
+        for u in range(len(adj)):
+            if row >> u & 1:
+                relabeled[rank[old]] |= 1 << rank[u]
+    return to_original, relabeled
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(0, 40))
+    adj = [0] * n
+    for i, j in combinations(range(n), 2):
+        if draw(st.booleans()):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_clique_search_relabels_by_degeneracy_order(adj):
+    search = CliqueSearch(adj)
+    assert (search._to_original, search._adj) == _reference_relabel(adj)

@@ -110,6 +110,25 @@ class TestCertificateFormat:
         with pytest.raises(ParseError):
             parse_certificate("epsilon: 1/2\nm: 2\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", "1/0"),
+        ("epsilon", "x"),
+        ("epsilon", "-1"),
+        ("epsilon", "0"),
+        ("m", "two"),
+        ("m", "0"),
+        ("source_n", "5/2"),
+        ("cluster_isolation", "maybe"),
+        ("copy_order", "True"),
+    ])
+    def test_bad_field_names_it(self, key, value):
+        fields = {"epsilon": "3/16", "m": "2", "source_n": "5",
+                  "cluster_isolation": "true", "copy_order": "false"}
+        fields[key] = value
+        text = "".join(f"{k}: {v}\n" for k, v in fields.items())
+        with pytest.raises(ParseError, match=f"bad certificate field '{key}'"):
+            parse_certificate(text)
+
 
 class TestSearchConfigFormat:
     def test_round_trip(self):

@@ -43,6 +43,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="finite"):
             SearchConfig(n=8, k=3, seed=1, iterations=10, **{field: value})
 
+    @pytest.mark.parametrize("sigma", [0, -1.5])
+    def test_non_positive_step_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="step sigma must be positive"):
+            SearchConfig(n=8, k=3, seed=1, iterations=10, step_sigma=sigma)
+
 
 class TestPerturb:
     def test_sigma_zero_identity(self):
@@ -83,6 +88,40 @@ class TestPerturb:
         S = PointSet.from_coords([(Fraction(1, 2), 0), (1, 1), (2, 0)])
         with pytest.raises(ValueError):
             perturb(S, 1.0, random.Random(0))
+
+    # SHA-256 of perturb's results and the generator's next draw, recorded
+    # before perturb and anneal shared one move proposal: its draws, retries
+    # and failures must stay bit-identical.
+    @staticmethod
+    def _chained():
+        rng = random.Random(5)
+        chain = [random_general_position(10, rng, 100)]
+        for _ in range(500):
+            chain.append(perturb(chain[-1], 3.0, rng, grid_bound=100))
+        return chain, rng.random()
+
+    @staticmethod
+    def _clamped():
+        rng = random.Random(0)
+        S = PointSet.from_coords([(0, 0), (5, 0), (0, 5)])
+        return [perturb(S, 50.0, rng, grid_bound=6) for _ in range(100)], rng.random()
+
+    @staticmethod
+    def _exhausted():
+        rng = random.Random(10)
+        S = PointSet.from_coords([(-1, -1), (1, -1), (1, 1), (-1, 1), (0, 2)])
+        with pytest.raises(RetryExhaustedError) as err:
+            perturb(S, 1.0, rng, grid_bound=2, max_retries=3)
+        return str(err.value), rng.random()
+
+    @pytest.mark.parametrize("case, digest", [
+        ("_chained", "70f96d84c856b8b1c3d27ebb1a465e0e8b0454211d5a9232358d86e39d451718"),
+        ("_clamped", "9114152c5492144ac79d11230b9ebbe915183135f51d7a4d44a7c5f0166ca2ab"),
+        ("_exhausted", "75e4e81ba41617e4aec6f9d8ec53d38031ff9634364b9625836bd0e633344d0e"),
+    ])
+    def test_golden_moves(self, case, digest):
+        record = getattr(self, case)()
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
     def test_retry_exhaustion_on_tiny_grid(self):
         # ten distinct points cannot fit the nine cells of a [-1, 1]^2 grid
