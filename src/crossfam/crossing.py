@@ -193,13 +193,14 @@ def has_k_family(S: PointSet, k: int) -> Optional[CrossingFamily]:
     return tuple(graph.segments[v] for v in vertices)
 
 
-def _count_cliques(adj: Sequence[int], k: int) -> int:
-    """Number of k-cliques in a bitset-adjacency graph."""
-    n = len(adj)
+def _count_cliques(adj: Sequence[int], k: int, cand: Optional[int] = None) -> int:
+    """Number of k-cliques inside the vertex mask ``cand`` (default: every vertex)."""
+    if cand is None:
+        cand = (1 << len(adj)) - 1
     if k == 0:
         return 1
     if k == 1:
-        return n
+        return cand.bit_count()
     total = 0
 
     def rec(cand: int, remaining: int) -> None:
@@ -220,7 +221,26 @@ def _count_cliques(adj: Sequence[int], k: int) -> int:
             if nxt:
                 rec(nxt, remaining - 1)
 
-    rec((1 << n) - 1, k)
+    rec(cand, k)
+    return total
+
+
+def _count_cliques_meeting(adj: Sequence[int], k: int, cand: int, hit: int) -> int:
+    """Number of k-cliques inside ``cand`` with at least one vertex in ``hit``.
+
+    Each such clique is counted at its lowest vertex in ``hit``: the
+    (k-1)-cliques in that vertex's neighbourhood once the lower ``hit``
+    vertices are dropped from ``cand``.
+    """
+    if k < 1:
+        return 0
+    total = 0
+    hit &= cand
+    while hit:
+        bit = hit & -hit
+        hit ^= bit
+        cand ^= bit
+        total += _count_cliques(adj, k - 1, cand & adj[bit.bit_length() - 1])
     return total
 
 

@@ -1,9 +1,15 @@
 """Simulated annealing over integer point configurations.
 
-The objective is the exact number of k-crossing families, recounted
-incrementally: a move displaces one point, so only the crossing-graph rows
-of segments incident to that point change. States live on an integer grid
-so every predicate stays exact and checkpoints serialize losslessly.
+The objective is the exact number of k-crossing families. It is counted in
+full once; after that each move adds only the difference it makes. Segments
+sharing an endpoint never cross, so every family that a move of point p
+creates or destroys holds exactly one segment s through p, and the other
+k-1 segments form a clique in the crossing neighbourhood of s before or
+after the move. Cliques in both neighbourhoods cancel, so only the cliques
+meeting a neighbour that s gained or lost are counted. A move that leaves
+the orientation table unchanged leaves the crossing graph and the objective
+unchanged and costs no count at all. States live on an integer grid so
+every predicate stays exact and checkpoints serialize losslessly.
 
 Randomness comes from ``random.Random`` (the seedable, platform-independent
 Mersenne Twister in the standard library); displacement offsets are drawn
@@ -19,8 +25,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .chirotope import crossing_rows, orientation_table, refresh_point_rows, update_point_signs
-from .crossing import _count_cliques, count_k_families
+from .chirotope import (
+    _segment_offsets,
+    crossing_rows,
+    orientation_table,
+    refresh_point_rows,
+    update_point_signs,
+)
+from .crossing import _count_cliques, _count_cliques_meeting, count_k_families
 from .errors import NotGeneralPositionError, RetryExhaustedError
 from .geometry import PointSet, normalize_coordinates
 from .replication import choose_epsilon, replicate
@@ -73,8 +85,6 @@ class SearchState:
 
 def _discrete_gauss(rng: random.Random, sigma: float) -> int:
     """Centered binomial offset with variance ~ sigma^2, integer arithmetic only."""
-    if sigma <= 0:
-        return 0
     half = max(1, round(2 * sigma * sigma))
     return rng.getrandbits(2 * half).bit_count() - half
 
@@ -141,8 +151,10 @@ def perturb(
 
     Proposals violating general position are resampled (fresh point choice
     and offset) up to ``max_retries`` times. ``sigma = 0`` returns the input
-    unchanged.
+    unchanged; a negative or non-finite ``sigma`` raises ValueError.
     """
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be non-negative and finite")
     if sigma == 0:
         return S
     coords = [(int(p.x), int(p.y)) for p in S]
@@ -151,6 +163,29 @@ def perturb(
     scratch = [0] * len(coords) ** 3  # only the general-position verdict is read
     _move(coords, scratch, rng, sigma, grid_bound, max_retries)
     return PointSet.from_coords(coords)
+
+
+def _objective_delta(old_rows: list[int], new_rows: list[int], n: int, p: int, k: int) -> int:
+    """Change in the number of k-cliques when only the rows through point ``p`` changed.
+
+    ``old_rows`` and ``new_rows`` are the crossing graphs before and after
+    ``p`` moved. Every family that changes holds one segment s through p;
+    the rest is a (k-1)-clique of segments avoiding p, whose crossings are
+    the same in both graphs. So the change at s is the cliques of its new
+    neighbourhood that meet a gained neighbour minus the cliques of its old
+    neighbourhood that meet a lost one.
+    """
+    off = _segment_offsets(n)
+    delta = 0
+    for q in range(n):
+        if q == p:
+            continue
+        i = off[min(p, q)] + max(p, q)
+        old, new = old_rows[i], new_rows[i]
+        if old != new:
+            delta += _count_cliques_meeting(new_rows, k - 1, new, new & ~old)
+            delta -= _count_cliques_meeting(new_rows, k - 1, old, old & ~new)
+    return delta
 
 
 def anneal(
@@ -163,7 +198,9 @@ def anneal(
     Exponential cooling, single-point moves, early exit at objective zero.
     Unless the initial objective is already zero, every initial point must
     lie on the grid ``[-grid_bound, grid_bound]^2``.
-    A KeyboardInterrupt stops the loop cleanly and returns the state so far.
+    A KeyboardInterrupt stops the loop cleanly and returns the state so far;
+    a move still awaiting its verdict is undone, so ``current`` is the set
+    of the last trace row.
     ``on_improve(iteration, best_objective)`` fires when the best improves.
     """
     if len(initial) != cfg.n:
@@ -191,41 +228,53 @@ def anneal(
             if max(abs(x), abs(y)) > cfg.grid_bound:
                 raise ValueError(f"initial point ({x}, {y}) lies outside the grid "
                                  f"[-{cfg.grid_bound}, {cfg.grid_bound}]^2")
+        pending: Optional[list[tuple[int, int]]] = None  # coords before an undecided move
         try:
             for iteration in range(1, cfg.iterations + 1):
                 temperature *= cfg.cooling_rate
+                pending = coords.copy()
+                saved_signs = signs.copy()
                 moved, old_point = _move(
                     coords, signs, rng, cfg.step_sigma, cfg.grid_bound, _MAX_RETRIES
                 )
-                saved_rows = adj.copy()
-                refresh_point_rows(adj, signs, cfg.n, moved)
-                proposed_obj = _count_cliques(adj, cfg.k)
-                delta = proposed_obj - current_obj
+                if signs == saved_signs:
+                    # same orientations: same crossing graph, same objective
+                    delta = 0
+                else:
+                    saved_rows = adj.copy()
+                    refresh_point_rows(adj, signs, cfg.n, moved)
+                    delta = _objective_delta(saved_rows, adj, cfg.n, moved, cfg.k)
+                improved = False
                 if delta <= 0 or (
                     temperature > 0
                     and rng.random() < math.exp(-delta / temperature)
                 ):
-                    current_obj = proposed_obj
+                    current_obj += delta
                     if current_obj < best_obj:
                         best_obj = current_obj
                         best = list(coords)
-                        if on_improve is not None:
-                            on_improve(iteration, best_obj)
+                        improved = True
                 else:
                     coords[moved] = old_point
-                    update_point_signs(signs, coords, moved)
+                    signs = saved_signs
                     adj = saved_rows
 
                 trace.append((iteration, temperature, current_obj, best_obj))
+                pending = None
+                if improved and on_improve is not None:
+                    on_improve(iteration, best_obj)
 
                 if iteration % _CHECK_INTERVAL == 0 and (
-                    signs != orientation_table(coords) or adj != crossing_rows(signs, cfg.n)
+                    signs != orientation_table(coords)
+                    or adj != crossing_rows(signs, cfg.n)
+                    or current_obj != _count_cliques(adj, cfg.k)
                 ):
-                    raise AssertionError("incremental crossing-graph update drifted")
+                    raise AssertionError("incremental crossing-graph or objective update drifted")
                 if best_obj == 0:
                     break
         except KeyboardInterrupt:
-            pass
+            if pending is not None:
+                coords = pending
 
     best_set = PointSet.from_coords(best)
     recount = count_k_families(best_set, cfg.k)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from crossfam.crossing import (
     CliqueSearch,
+    _count_cliques,
+    _count_cliques_meeting,
     brute_force_cf,
     build_crossing_graph,
     count_k_families,
@@ -210,8 +212,8 @@ def _reference_relabel(adj):
 
 
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(0, 40))
+def random_graphs(draw, max_n=40):
+    n = draw(st.integers(0, max_n))
     adj = [0] * n
     for i, j in combinations(range(n), 2):
         if draw(st.booleans()):
@@ -225,3 +227,24 @@ def random_graphs(draw):
 def test_clique_search_relabels_by_degeneracy_order(adj):
     search = CliqueSearch(adj)
     assert (search._to_original, search._adj) == _reference_relabel(adj)
+
+
+def _brute_force_cliques(adj, k, cand, hit=None):
+    inside = [v for v in range(len(adj)) if cand >> v & 1]
+    return sum(
+        1
+        for clique in combinations(inside, k)
+        if all(adj[u] >> v & 1 for u, v in combinations(clique, 2))
+        and (hit is None or any(hit >> v & 1 for v in clique))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(max_n=14), st.integers(0, 5), st.data())
+def test_clique_counts_inside_a_mask_match_brute_force(adj, k, data):
+    every = (1 << len(adj)) - 1
+    cand = data.draw(st.integers(0, every))
+    hit = data.draw(st.integers(0, every))
+    assert _count_cliques(adj, k) == _brute_force_cliques(adj, k, every)
+    assert _count_cliques(adj, k, cand) == _brute_force_cliques(adj, k, cand)
+    assert _count_cliques_meeting(adj, k, cand, hit) == _brute_force_cliques(adj, k, cand, hit)

@@ -3,9 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from crossfam.crossing import count_k_families, max_crossing_family
-from crossfam.errors import RetryExhaustedError
+from crossfam import search
+from crossfam.chirotope import crossing_rows, orientation_table, refresh_point_rows
+from crossfam.crossing import _count_cliques, count_k_families, max_crossing_family
+from crossfam.errors import NotGeneralPositionError, RetryExhaustedError
 from crossfam.geometry import (
     PointSet,
     convex_position_points,
@@ -15,6 +19,8 @@ from crossfam.geometry import (
 )
 from crossfam.search import (
     SearchConfig,
+    _move,
+    _objective_delta,
     anneal,
     perturb,
     random_general_position,
@@ -54,6 +60,11 @@ class TestPerturb:
         S = convex_position_points(6)
         rng = random.Random(3)
         assert perturb(S, 0, rng) is S
+
+    @pytest.mark.parametrize("sigma", [-2.0, -math.inf, math.inf, math.nan])
+    def test_invalid_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            perturb(convex_position_points(6), sigma, random.Random(0))
 
     def test_deterministic_for_fixed_seed(self):
         S = convex_position_points(8)
@@ -198,10 +209,33 @@ class TestAnneal:
         wide = SearchConfig(n=9, k=2, seed=0, iterations=10, grid_bound=77_000)
         assert len(anneal(wide, scaled).trace) == 11
 
+    @pytest.mark.parametrize("calls", [1, 2, 3, 5, 8, 13, 21])
+    def test_interrupt_undoes_the_pending_move(self, monkeypatch, calls):
+        cfg = SearchConfig(n=12, k=3, seed=4, iterations=300)
+        initial = random_general_position(12, random.Random(4), cfg.grid_bound)
+        uninterrupted = anneal(cfg, initial)
+        seen = 0
+
+        def interrupted_refresh(*args):
+            nonlocal seen
+            seen += 1
+            if seen == calls:
+                raise KeyboardInterrupt
+            refresh_point_rows(*args)
+
+        monkeypatch.setattr(search, "refresh_point_rows", interrupted_refresh)
+        state = anneal(cfg, initial)
+        assert seen == calls
+        assert state.trace == uninterrupted.trace[:len(state.trace)]
+        assert count_k_families(state.current, cfg.k) == state.trace[-1][2]
+        assert count_k_families(state.best, cfg.k) == state.best_objective
+
     # SHA-256 of (initial, trace, best, current, best objective) for fixed
     # seeds: changes to the incremental updates must keep every run
     # bit-identical. 5000 iterations pass the drift guard at 4096.
     @pytest.mark.parametrize("n, k, seed, iterations, digest", [
+        (20, 1, 3, 150, "6a18bc9c6dd23dc9ecbdf60091490e5ec94db5a67e8e1ed42b1e335076467ec9"),
+        (20, 5, 7, 150, "78ea1218e1989515e6512d5aa5a5dc6686e35078c025d7d312a7375c1bdb20e3"),
         (8, 3, 1, 300, "bb17a5fd1a011866fd033f3943d5199e1fef2f1ea78ec35ce279cd75e4aa6fdf"),
         (12, 3, 5, 150, "d36b40e2129c314711165cad748d2d88257d780f9b3bbb8572d171d444faebbf"),
         (16, 4, 11, 40, "6d870e08c3275826c7525788d4f1325a456e08f5655b69c5ba510231efbd46f3"),
@@ -213,6 +247,28 @@ class TestAnneal:
         state = anneal(cfg, initial)
         record = (initial, state.trace, state.best, state.current, state.best_objective)
         assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
+
+grid_sets = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=4, max_size=12, unique=True
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_sets, st.integers(2, 4), st.integers(0, 2 ** 32))
+def test_objective_delta_matches_full_recount(coords, k, seed):
+    try:
+        signs = orientation_table(coords)
+    except NotGeneralPositionError:
+        assume(False)
+    n = len(coords)
+    old_rows = crossing_rows(signs, n)
+    new_rows = old_rows.copy()
+    moved, _ = _move(coords, signs, random.Random(seed), 8.0, 30, 100)
+    refresh_point_rows(new_rows, signs, n, moved)
+    assert new_rows == crossing_rows(orientation_table(coords), n)
+    assert _objective_delta(old_rows, new_rows, n, moved, k) \
+        == _count_cliques(new_rows, k) - _count_cliques(old_rows, k)
 
 
 class TestSeedByDoubling:
