@@ -24,13 +24,26 @@ Clause groups, in instance order:
 
 No solver is bundled: instances go out as DIMACS CNF and models come back
 as whitespace-separated signed integers ('v'-prefixed lines tolerated).
+
+The DIMACS text is produced and read in bulk. ``emit_dimacs`` writes the
+header once, then splits each chunk of clauses into runs of equal length and
+formats a run with one ``%``-operation on a repeated ``"%d ... 0\\n"``
+template. ``parse_dimacs`` turns a line that ends in ``0`` while no clause is
+pending into a tuple by looking its tokens up in a table of literal texts. The
+table maps the canonical text ``str(v)`` of each nonzero literal in range of
+the problem line to ``v`` (the lowest ones only, when the text is shorter than
+64 characters per variable). Any other token (zero, out of range, ``+3``,
+``03``, not an integer) misses and sends its line through the checked
+per-token branch, which is the only place that raises.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import os
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Optional, Sequence, Union
 
 from .chirotope import _segment_offsets, crossing_rows, orientation_table, triple_sign
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
@@ -39,6 +52,9 @@ from .geometry import PointSet, Segment, integer_coordinates
 Assignment = list[bool]
 
 _PAIRING_POSITIONS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+#: clauses formatted per write by ``emit_dimacs``
+_EMIT_CHUNK = 65536
 
 
 class VarMap:
@@ -126,6 +142,14 @@ def _matching_patterns(points: int) -> list[tuple[tuple[int, int], ...]]:
     return list(rec(tuple(range(points))))
 
 
+def _tuple_getter(indices: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``itemgetter(*indices)``, but a tuple also for a single index."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
 def encode_no_k_family(n: int, k: int) -> tuple[Cnf, VarMap]:
     """CNF asserting an n-point abstract order type with no k-crossing family exists."""
     if k < 2 or n < 2 * k:
@@ -166,15 +190,21 @@ def encode_no_k_family(n: int, k: int) -> tuple[Cnf, VarMap]:
             clauses.append((yv, la, -lb, lc, -ld))
     g2 = len(clauses) - g1
 
-    # group 3: every matching of every 2k-subset has a non-crossing pair
-    patterns = _matching_patterns(2 * k)
-    pattern_pairs = [tuple(combinations(p, 2)) for p in patterns]
+    # group 3: every matching of every 2k-subset has a non-crossing pair.
+    # Per subset, list the negated pair ids over its C(2k,4)*3 position
+    # pairings once; each matching's clause is then one getter call.
+    negated = {q: tuple(-pair_id[((q[a], q[b]), (q[c], q[d]))]
+                        for (a, b), (c, d) in _PAIRING_POSITIONS)
+               for q in combinations(range(n), 4)}
+    slot: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+    for q in combinations(range(2 * k), 4):
+        for (a, b), (c, d) in _PAIRING_POSITIONS:
+            slot[((q[a], q[b]), (q[c], q[d]))] = len(slot)
+    getters = [_tuple_getter([slot[pair] for pair in combinations(p, 2)])
+               for p in _matching_patterns(2 * k)]
     for subset in combinations(range(n), 2 * k):
-        for pairs in pattern_pairs:
-            clauses.append(tuple(
-                -pair_id[((subset[p1], subset[p2]), (subset[q1], subset[q2]))]
-                for (p1, p2), (q1, q2) in pairs
-            ))
+        negs = tuple(chain.from_iterable(map(negated.__getitem__, combinations(subset, 4))))
+        clauses += [get(negs) for get in getters]
     g3 = len(clauses) - g1 - g2
 
     return Cnf(vm.num_vars, clauses, sections=(g1, g2, g3)), vm
@@ -192,24 +222,53 @@ def default_dimacs_comments(vm: VarMap, k: Optional[int] = None) -> list[str]:
 
 
 def emit_dimacs(cnf: Cnf, out: Union[str, Path, BinaryIO], comments: Iterable[str] = ()) -> None:
-    """Write standard DIMACS CNF with LF line endings; byte-identical across runs."""
-    own = isinstance(out, (str, Path))
-    sink: BinaryIO = open(out, "wb") if own else out
+    """Write standard DIMACS CNF with LF line endings; byte-identical across runs.
+
+    A path to a regular file (or to nothing yet) is replaced atomically: the
+    text goes to a temporary file in the same directory, which is renamed over
+    the file, through any symlinks, only once it is complete. A device or pipe
+    such as ``/dev/stdout`` is written directly.
+    """
+    if not isinstance(out, (str, Path)):
+        _write_dimacs(cnf, out, comments)
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "wb") as sink:
+            _write_dimacs(cnf, sink, comments)
+        return
+    path = Path(os.path.realpath(out))
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    sink = open(tmp, "xb")
     try:
-        lines = [f"c {c}" for c in comments]
-        lines.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}")
-        chunk = 65536
-        buf: list[str] = lines
-        for clause in cnf.clauses:
-            buf.append(" ".join(map(str, clause)) + " 0")
-            if len(buf) >= chunk:
-                sink.write(("\n".join(buf) + "\n").encode("ascii"))
-                buf = []
-        if buf:
-            sink.write(("\n".join(buf) + "\n").encode("ascii"))
-    finally:
-        if own:
-            sink.close()
+        with sink:
+            _write_dimacs(cnf, sink, comments)
+            sink.flush()
+            os.fsync(sink.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_dimacs(cnf: Cnf, sink: BinaryIO, comments: Iterable[str]) -> None:
+    header = [f"c {c}\n" for c in comments]
+    header.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}\n")
+    sink.write("".join(header).encode("ascii"))
+    clauses = cnf.clauses
+    for start in range(0, len(clauses), _EMIT_CHUNK):
+        parts = []
+        for width, run in groupby(clauses[start:start + _EMIT_CHUNK], len):
+            run = list(run)
+            line = "%d " * width + "0\n" if width else " 0\n"
+            parts.append(line * len(run) % tuple(chain.from_iterable(run)))
+        sink.write("".join(parts).encode("ascii"))
+
+
+def _int_token(tok: str, what: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad {what} {tok!r}", lineno) from None
 
 
 def parse_dimacs(text: str) -> Cnf:
@@ -218,20 +277,35 @@ def parse_dimacs(text: str) -> Cnf:
     declared = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
+    # Canonical literal text -> int over the range of the current problem
+    # line. Tabulating at most one literal per 64 characters of input keeps a
+    # header that declares a huge count cheap; literals beyond the table still
+    # parse, through the checked branch below.
+    table: dict[str, int] = {}
+    lookup = table.__getitem__
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        toks = raw.split()
+        if toks and toks[-1] == "0" and not pending and num_vars is not None:
+            try:
+                clauses.append(tuple(map(lookup, toks[:-1])))
+                continue
+            except KeyError:
+                pass
+        if not toks or toks[0].startswith("c"):
             continue
-        if line.startswith("p"):
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise ParseError(f"bad problem line {line!r}", lineno)
-            num_vars, declared = int(fields[2]), int(fields[3])
+        if toks[0].startswith("p"):
+            if len(toks) != 4 or toks[1] != "cnf":
+                raise ParseError(f"bad problem line {raw.strip()!r}", lineno)
+            num_vars = _int_token(toks[2], "variable count", lineno)
+            declared = _int_token(toks[3], "clause count", lineno)
+            table.clear()
+            top = min(num_vars, len(text) // 64)
+            table.update((str(v), v) for v in range(-top, top + 1) if v)
             continue
         if num_vars is None:
             raise ParseError("clause before problem line", lineno)
-        for tok in line.split():
-            lit = int(tok)
+        for tok in toks:
+            lit = _int_token(tok, "literal", lineno)
             if lit == 0:
                 clauses.append(tuple(pending))
                 pending = []
@@ -327,10 +401,7 @@ def parse_model(text: str, num_vars: int) -> Assignment:
         if line.startswith("v"):
             line = line[1:]
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError(f"bad model token {tok!r}", lineno) from None
+            lit = _int_token(tok, "model token", lineno)
             if lit == 0:
                 done = True
                 break

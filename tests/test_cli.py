@@ -174,6 +174,20 @@ class TestEncodeVerify:
         code, out, _ = run(capsys, "verify-model", str(cnf_path), str(model))
         assert code == 1 and out.startswith("violated clause")
 
+    @pytest.mark.parametrize("text,message", [
+        ("p cnf 3 1\n1 x 0\n", "error: line 2: bad literal 'x'"),
+        ("p cnf x 1\n1 0\n", "error: line 1: bad variable count 'x'"),
+        ("p cnf 3 y\n1 0\n", "error: line 1: bad clause count 'y'"),
+    ])
+    def test_verify_model_non_integer_dimacs_token(self, capsys, tmp_path, text, message):
+        cnf_path = tmp_path / "bad.cnf"
+        cnf_path.write_text(text)
+        model = tmp_path / "model.txt"
+        model.write_text("1 2 3 0\n")
+        code, out, err = run(capsys, "verify-model", str(cnf_path), str(model))
+        assert code == 1 and out == ""
+        assert err == message + "\n"
+
     def test_from_points_satisfied(self, capsys, tmp_path):
         pts = tmp_path / "nine.txt"
         from crossfam.geometry import PointSet

@@ -1,9 +1,15 @@
+import hashlib
 import io
+import os
 import random
+import stat
+import threading
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfam.crossing import max_crossing_family
 from crossfam.errors import ParseError, SignotopeViolationError
@@ -16,6 +22,7 @@ from crossfam.geometry import (
     segments_cross,
 )
 from crossfam.sat import (
+    _EMIT_CHUNK,
     Cnf,
     VarMap,
     assignment_from_pointset,
@@ -145,6 +152,202 @@ class TestDimacs:
         path = tmp_path / "out.cnf"
         emit_dimacs(cnf, path)
         assert parse_dimacs(path.read_text()).clauses == cnf.clauses
+
+    # (sections, SHA-256 of the DIMACS bytes with the default comments),
+    # recorded before emission and family encoding became table-driven
+    GOLDEN = {
+        (4, 2): ((8, 24, 3), "bfe64c9710441789d38dc92adeb16864ea2cd5dfde7d7f260dde428b1417137b"),
+        (6, 3): ((120, 360, 15), "886c24fd8661bd9c65449f97fad90ff1757bf6acc95a1e672f94e0ce8e3a2b2b"),
+        (9, 3): ((1008, 3024, 1260), "de88e771d12703c3ea62df27aae67fcf1b26f4650bfc703dc68df0559c50c4ff"),
+        (10, 4): ((1680, 5040, 4725), "672e2a5d8ff601e4cf4ecd45ae03a0b5d6971acda9cf7f10b07efb63bd148ea0"),
+        (13, 4): ((5720, 17160, 135135), "403660b7287f1ded7f0e831e7ebaef9680734923c9f2d4e97f6167f68bdc6729"),
+    }
+
+    @pytest.mark.parametrize("n,k", sorted(GOLDEN))
+    def test_golden_bytes(self, n, k):
+        cnf, vm = encode_no_k_family(n, k)
+        sink = io.BytesIO()
+        emit_dimacs(cnf, sink, comments=default_dimacs_comments(vm, k))
+        sections, digest = self.GOLDEN[(n, k)]
+        assert cnf.sections == sections
+        assert hashlib.sha256(sink.getvalue()).hexdigest() == digest
+        assert parse_dimacs(sink.getvalue().decode("ascii")).clauses == cnf.clauses
+
+    def test_empty_and_mixed_width_clauses(self):
+        sink = io.BytesIO()
+        emit_dimacs(Cnf(3, [(1,), (), (-2, 3), (), ()]), sink, comments=["x"])
+        assert sink.getvalue() == b"c x\np cnf 3 5\n1 0\n 0\n-2 3 0\n 0\n 0\n"
+
+    def test_interrupted_file_output_keeps_previous_file(self, tmp_path):
+        class Interrupt:
+            def __index__(self):
+                raise KeyboardInterrupt
+
+        path = tmp_path / "out.cnf"
+        path.write_bytes(b"previous\n")
+        # the first chunk is written before the bad literal is reached
+        clauses = [(1, -2)] * (_EMIT_CHUNK + 5) + [(Interrupt(),)]
+        with pytest.raises(KeyboardInterrupt):
+            emit_dimacs(Cnf(2, clauses), path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.cnf"]
+
+    def test_file_output_replaces_previous_file(self, tmp_path):
+        path = tmp_path / "out.cnf"
+        path.write_bytes(b"previous\n" * 1000)
+        emit_dimacs(Cnf(2, [(1, -2)]), path)
+        assert path.read_bytes() == b"p cnf 2 1\n1 -2 0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.cnf"]
+
+    def test_file_output_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "target.cnf"
+        target.write_bytes(b"previous\n")
+        link = tmp_path / "link.cnf"
+        link.symlink_to(target)
+        emit_dimacs(Cnf(2, [(1, -2)]), link)
+        assert link.is_symlink()
+        assert target.read_bytes() == b"p cnf 2 1\n1 -2 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.cnf", "target.cnf"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_output_written_directly(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        emit_dimacs(Cnf(2, [(1, -2)]), fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"p cnf 2 1\n1 -2 0\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def _reference_int(tok, what, lineno):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad {what} {tok!r}", lineno) from None
+
+
+def reference_parse_dimacs(text):
+    """Token-by-token DIMACS reader that ``parse_dimacs`` must agree with."""
+    num_vars = declared = None
+    clauses, pending = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            fields = line.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise ParseError(f"bad problem line {line!r}", lineno)
+            num_vars = _reference_int(fields[2], "variable count", lineno)
+            declared = _reference_int(fields[3], "clause count", lineno)
+            continue
+        if num_vars is None:
+            raise ParseError("clause before problem line", lineno)
+        for tok in line.split():
+            lit = _reference_int(tok, "literal", lineno)
+            if lit == 0:
+                clauses.append(tuple(pending))
+                pending = []
+            elif abs(lit) > num_vars:
+                raise ParseError(f"literal {lit} exceeds {num_vars} variables", lineno)
+            else:
+                pending.append(lit)
+    if pending:
+        clauses.append(tuple(pending))
+    if num_vars is None:
+        raise ParseError("missing problem line")
+    if declared is not None and declared != len(clauses):
+        raise ParseError(f"expected {declared} clauses, found {len(clauses)}")
+    return Cnf(num_vars, clauses)
+
+
+def _outcome(parse, text):
+    try:
+        cnf = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", cnf.num_vars, cnf.clauses)
+
+
+@st.composite
+def cnfs(draw):
+    num_vars = draw(st.integers(1, 12))
+    literal = st.integers(1, num_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, max_size=6).map(tuple), max_size=40))
+    return Cnf(num_vars, clauses)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS-like text: mostly well formed, with the variations a reader meets."""
+    num_vars = draw(st.integers(1, 9))
+    token = st.one_of(
+        st.integers(-num_vars, num_vars).map(str),                     # in range, or 0
+        st.sampled_from(["+3", "03", "-03", "+0", "00", "-0", "1_0"]),  # non-canonical
+        st.integers(num_vars + 1, 99).map(lambda v: str(v if v % 2 else -v)),  # out of range
+        st.sampled_from(["x", "1.5", "--1"]),                          # not an integer
+    )
+    clause_line = st.lists(token, max_size=7).map(lambda toks: toks + ["0"])
+    free_line = st.lists(token, max_size=7)
+    comment = st.sampled_from(["c", "c 1 2 0", "c p cnf 9 9", "cnf 1 0"])
+    body = draw(st.lists(st.one_of(clause_line, clause_line, free_line,
+                                   comment.map(lambda c: [c]), st.just([])),
+                         max_size=12))
+    count = draw(st.sampled_from(["exact", "off", "bad"]))
+    declared = len(body) if count == "exact" else draw(st.integers(0, 15))
+    header = ["p", "cnf", str(num_vars), str(declared) if count != "bad" else "x"]
+    lines = [header] + body
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), ["c", "comment"])
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), ["p", "cnf", str(num_vars)])
+    if draw(st.booleans()):
+        # long enough for the parser to tabulate every literal up front
+        lines.insert(draw(st.integers(0, len(lines))), ["c", "." * 640])
+    sep = st.sampled_from([" ", "  ", "\t", " \t"])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    rendered = []
+    for toks in lines:
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        rendered.append(pad + "".join(t + draw(sep) for t in toks[:-1]) + "".join(toks[-1:]))
+    return eol.join(rendered) + draw(st.sampled_from(["", eol]))
+
+
+class TestDimacsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(cnfs())
+    def test_emit_parse_round_trip(self, cnf):
+        sink = io.BytesIO()
+        emit_dimacs(cnf, sink)
+        back = parse_dimacs(sink.getvalue().decode("ascii"))
+        assert back.num_vars == cnf.num_vars
+        assert back.clauses == cnf.clauses
+
+    @settings(max_examples=1000, deadline=None)
+    @given(dimacs_texts())
+    def test_parse_agrees_with_reference(self, text):
+        assert _outcome(parse_dimacs, text) == _outcome(reference_parse_dimacs, text)
+
+    @pytest.mark.parametrize("text", [
+        "p cnf 3 2\n1 -2 0 3\n0\n",           # clause spanning lines
+        "p cnf 3 3\n1 0 -2 0 3 0\n",           # several clauses on a line
+        "p cnf 3 2\n1 0\nc note\n2 0\n",      # comment between clauses
+        "p cnf 3 2\r\n+3 0\r\n03\t-1 0\r\n",  # non-canonical tokens, CRLF, tab
+        "p cnf 3 1\n1 4 0\n",                 # literal out of range
+        "p cnf 3 2\n1 0\n",                   # wrong declared count
+        "p cnf 3 1\n1 x 0\n",                 # non-integer literal
+        "p cnf x 1\n1 0\n",                   # non-integer problem field
+        "0\np cnf 3 1\n",                     # clause before the problem line
+        # a second problem line narrows the range of a fully tabulated first one
+        "p cnf 3 2\nc " + "." * 256 + "\n3 0\np cnf 1 1\n3 0\n",
+    ])
+    def test_parse_agrees_with_reference_on_edge_cases(self, text):
+        assert _outcome(parse_dimacs, text) == _outcome(reference_parse_dimacs, text)
 
 
 class TestAssignmentFromPointset:
