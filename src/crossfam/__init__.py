@@ -47,11 +47,8 @@ from .crossing import (
     max_crossing_family,
 )
 from .replication import (
-    DEFAULT_EXTREMAL_LIBRARY,
     CopyMap,
     ReplicationCertificate,
-    best_known_upper_bound,
-    bound_details,
     choose_epsilon,
     contract_family,
     replicate,
@@ -86,7 +83,14 @@ from .search import (
     random_general_position,
     seed_by_doubling,
 )
-from .known import KNOWN_VALUES, KnownValue, known_bounds
+from .known import KNOWN_VALUES, KnownValue, best_known_upper_bound, bound_details, known_bounds
 from .store import bundled_names, load_bundled
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "DEFAULT_EXTREMAL_LIBRARY":  # read from the bundled files on first use
+        from .known import DEFAULT_EXTREMAL_LIBRARY
+        return DEFAULT_EXTREMAL_LIBRARY
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

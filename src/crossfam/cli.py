@@ -23,8 +23,8 @@ from .crossing import (
 )
 from .errors import CrossfamError
 from .geometry import is_general_position, normalize_coordinates
-from .known import known_bounds
-from .replication import bound_details, replicate_certified
+from .known import bound_details, known_bounds, known_provenance
+from .replication import replicate_certified
 from .search import anneal, random_general_position
 from .formats import load_pointset
 
@@ -119,24 +119,24 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_known(args) -> int:
-    lower, upper, entry = known_bounds(args.n)
+    lower, upper, _ = known_bounds(args.n)
     if args.json:
         _emit_json({"command": "known", "n": args.n, "lower": lower, "upper": upper,
-                    "exact": lower == upper, "provenance": entry.provenance})
+                    "exact": lower == upper, "provenance": known_provenance(args.n)})
         return 0
     if lower == upper:
         print(f"cf({args.n}) = {lower}")
     else:
         print(f"{lower} <= cf({args.n}) <= {upper}")
     if args.verbose:
-        print(f"provenance: {entry.provenance}")
+        print(f"provenance: {known_provenance(args.n)}")
     return 0
 
 
 def _cmd_encode(args) -> int:
     cnf, vm = sat.encode_no_k_family(args.n, args.k)
     sat.emit_dimacs(cnf, args.output, comments=sat.default_dimacs_comments(vm, args.k))
-    print(f"p cnf {cnf.num_vars} {cnf.num_clauses} -> {args.output}")
+    print(f"p cnf {cnf.num_vars} {cnf.num_clauses} -> {args.output}", file=sys.stderr)
     return 0
 
 

@@ -34,19 +34,11 @@ class CrossingGraph:
     :func:`build_crossing_graph`.
     """
 
-    __slots__ = ("pointset", "segments", "adjacency", "_index")
+    __slots__ = ("segments", "adjacency")
 
-    def __init__(self, pointset: PointSet, segments: tuple[Segment, ...], adjacency: tuple[int, ...]):
-        self.pointset = pointset
+    def __init__(self, segments: tuple[Segment, ...], adjacency: tuple[int, ...]):
         self.segments = segments
         self.adjacency = adjacency
-        self._index = {s: i for i, s in enumerate(segments)}
-
-    def index_of(self, segment: Segment) -> int:
-        return self._index[segment]
-
-    def crosses(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i] >> j & 1)
 
     @property
     def edge_count(self) -> int:
@@ -61,7 +53,7 @@ def build_crossing_graph(S: PointSet) -> CrossingGraph:
     if len(S) < 2:
         raise ValueError("need at least two points to span a segment")
     table = orientation_table(integer_coordinates(S))
-    return CrossingGraph(S, all_segments(len(S)), tuple(crossing_rows(table, len(S))))
+    return CrossingGraph(all_segments(len(S)), tuple(crossing_rows(table, len(S))))
 
 
 class _TargetReached(Exception):
@@ -115,14 +107,14 @@ class CliqueSearch:
         self.best: tuple[int, ...] = ()
         self._target: Optional[int] = None
 
-    def run(self, target: Optional[int] = None, floor: int = 0) -> tuple[int, tuple[int, ...]]:
+    def run(self, target: Optional[int] = None) -> tuple[int, tuple[int, ...]]:
         """Search for a maximum clique, or stop at the first clique of size ``target``.
 
-        ``floor`` sets the initial incumbent size; only strictly larger
-        cliques are recorded. Returns (best size, vertex tuple in original
-        labels, sorted ascending).
+        With a target, only cliques of that size are recorded, so a shorter
+        best size means none exists. Returns (best size, vertex tuple in
+        original labels, sorted ascending).
         """
-        self.best_size = floor
+        self.best_size = 0 if target is None else target - 1
         self.best = ()
         self._target = target
         if self._n == 0:
@@ -187,7 +179,7 @@ def has_k_family(S: PointSet, k: int) -> Optional[CrossingFamily]:
     if k < 1:
         raise ValueError("family size must be at least 1")
     graph = build_crossing_graph(S)
-    size, vertices = CliqueSearch(graph.adjacency).run(target=k, floor=k - 1)
+    size, vertices = CliqueSearch(graph.adjacency).run(target=k)
     if size < k:
         return None
     return tuple(graph.segments[v] for v in vertices)

@@ -1,59 +1,121 @@
-"""Proven values and bounds for cf(n), the minimum over all n-point sets in
-general position of the maximum crossing-family size."""
+"""What is known about cf(n), the minimum over all n-point sets in general
+position of the maximum crossing-family size, with each fact stored once.
+
+Lower bounds are thresholds (``KNOWN_VALUES``). Upper bounds come from the
+extremal library of (k, s) entries, s-point sets with no (k+1)-crossing
+family: the bundled sets of :mod:`crossfam.store` supply their own entries
+and the others are cited. Subsets and replication turn an entry into
+cf(n) <= k * ceil(n / s).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from typing import Optional, Sequence
 
-from .replication import best_known_upper_bound
+from .store import bundled_names, load_bundled
 
 
 @dataclass(frozen=True)
 class KnownValue:
-    """Bounds for cf(n) over the inclusive range [n_lo, n_hi].
-
-    ``upper`` is None when the range is open-ended and the upper bound comes
-    from the replication calculator instead of a fixed value.
-    """
+    """Every set of at least ``n_lo`` points has a crossing family of size ``lower``."""
 
     n_lo: int
-    n_hi: Optional[int]
     lower: int
-    upper: Optional[int]
     provenance: str
 
 
 KNOWN_VALUES: tuple[KnownValue, ...] = (
-    KnownValue(2, 4, 1, 1,
-               "any two points span a segment; a triangle with an interior "
-               "point has no two disjoint crossing segments"),
-    KnownValue(5, 9, 2, 2,
-               "K5 is not planar, so every 5 points span a crossing pair; "
-               "9-point configurations with no 3 pairwise-crossing segments exist"),
-    KnownValue(10, 14, 3, 3,
-               "exhaustive check of all 10-point order types forces a "
-               "3-crossing family; 14-point configurations without one of size 4 exist"),
-    KnownValue(15, 20, 4, 4,
-               "computer-assisted exhaustive extension forces a 4-crossing "
-               "family on 15 points; 20-point configurations without one of size 5 exist"),
-    KnownValue(21, None, 4, None,
-               "monotone lower bound carried from n = 20; upper bound from "
-               "the replication construction over the extremal library"),
+    KnownValue(2, 1, "any two points span a segment"),
+    KnownValue(5, 2, "K5 is not planar, so every 5 points span a crossing pair"),
+    KnownValue(10, 3, "exhaustive check of all 10-point order types forces a 3-crossing family"),
+    KnownValue(15, 4, "computer-assisted exhaustive extension forces a 4-crossing family "
+                      "on 15 points (arXiv:2109.10705)"),
 )
+
+#: Library entries without a bundled set, (k, point count) -> source.
+_CITED: dict[tuple[int, int], str] = {
+    **dict.fromkeys([(4, 20), (5, 25), (6, 29), (7, 34), (9, 45), (10, 50)],
+                    "no source recorded in this repository"),
+    (8, 41): "arXiv:2109.10705",
+}
+
+
+@cache
+def _library_provenance() -> dict[tuple[int, int], str]:
+    """(k, point count) -> source of every library entry, in ascending order."""
+    bundled = {}
+    for name in bundled_names():
+        S, cf = load_bundled(name)
+        bundled[cf, len(S)] = f"bundled set {name}"
+    return dict(sorted({**_CITED, **bundled}.items()))
+
+
+def __getattr__(name: str):
+    # DEFAULT_EXTREMAL_LIBRARY, the (k, point count) pairs of the largest known point
+    # sets whose maximum crossing family has size k (optimal for k <= 3), is derived
+    # on first access so that importing the package reads no bundled file.
+    if name == "DEFAULT_EXTREMAL_LIBRARY":
+        return tuple(_library_provenance())
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def bound_details(
+    n: int, library: Optional[Sequence[tuple[int, int]]] = None
+) -> tuple[int, Optional[tuple[int, int]]]:
+    """Best replication upper bound and the library entry achieving it.
+
+    ``library`` defaults to ``DEFAULT_EXTREMAL_LIBRARY``. Each entry (k, s)
+    certifies that every set of n points has a subset or replication witness
+    forcing cf(n) <= k * ceil(n / s) (subsets of the witness set cover
+    n <= s). The trivial cap floor(n/2) from endpoint disjointness also
+    competes; when it alone wins the entry is ``None``.
+    """
+    if library is None:
+        library = tuple(_library_provenance())
+    if not library:
+        raise ValueError("empty bound library")
+    if n < 1:
+        raise ValueError("point count must be positive")
+    best = n // 2
+    winner: Optional[tuple[int, int]] = None
+    for k, size in library:
+        if k < 1 or size < 1:
+            raise ValueError(f"bad library entry ({k}, {size})")
+        value = k * -(-n // size)
+        if value < best or (value == best and winner is None):
+            best = value
+            winner = (k, size)
+    return best, winner
+
+
+def best_known_upper_bound(n: int, library: Optional[Sequence[tuple[int, int]]] = None) -> int:
+    """min over the library of k * ceil(n / s), capped by floor(n / 2)."""
+    return bound_details(n, library)[0]
 
 
 def known_range(n: int) -> KnownValue:
+    """The largest lower-bound threshold that applies to ``n``."""
     if n < 2:
         raise ValueError("cf(n) is defined for n >= 2")
-    for entry in KNOWN_VALUES:
-        if entry.n_lo <= n and (entry.n_hi is None or n <= entry.n_hi):
-            return entry
-    raise AssertionError("known-value ranges must cover all n >= 2")
+    return [entry for entry in KNOWN_VALUES if entry.n_lo <= n][-1]
 
 
 def known_bounds(n: int) -> tuple[int, int, KnownValue]:
-    """(lower, upper, table entry) for cf(n); lower == upper when proven exactly."""
+    """(lower, upper, threshold entry) for cf(n); lower == upper when proven exactly."""
     entry = known_range(n)
-    upper = entry.upper if entry.upper is not None else best_known_upper_bound(n)
-    return entry.lower, upper, entry
+    return entry.lower, best_known_upper_bound(n), entry
+
+
+def known_provenance(n: int) -> str:
+    """Where the two bounds of :func:`known_bounds` come from."""
+    upper, entry = bound_details(n)
+    source = "the floor(n/2) endpoint cap"
+    if entry is not None:
+        k, size = entry
+        source = (f"a {size}-point set with no {k + 1}-crossing family "
+                  f"({_library_provenance()[entry]})")
+        if n > size:
+            source = f"{-(-n // size)} copies of {source}"
+    return f"{known_range(n).provenance}; upper bound {upper} from {source}"

@@ -1,4 +1,4 @@
-"""Point replication along parabolic arcs and the piecewise upper-bound calculator.
+"""Point replication along parabolic arcs, with a certificate for the spacing.
 
 Replacing every point (x, y) of a set S by m copies (x + i*eps, y + (i*eps)^2)
 for i = 0..m-1 multiplies the point count by m while, for sufficiently small
@@ -91,20 +91,13 @@ def _copy_counts(n: int, m: int, total: Optional[int]) -> list[int]:
     number from the highest-index source point among those with the most
     copies left, which keeps the counts balanced and deterministic.
     """
-    counts = [m] * n
     if total is None:
-        return counts
+        return [m] * n
     if not n <= total <= m * n:
         raise ValueError(f"total must lie in [{n}, {m * n}], got {total}")
-    excess = m * n - total
-    while excess:
-        top = max(counts)
-        for src in range(n - 1, -1, -1):
-            if counts[src] == top:
-                counts[src] -= 1
-                excess -= 1
-                break
-    return counts
+    # every source loses ``rounds`` copies and the last ``extra`` one more
+    rounds, extra = divmod(m * n - total, n)
+    return [m - rounds - (src >= n - extra) for src in range(n)]
 
 
 def replicate(
@@ -153,20 +146,13 @@ def verify_cluster_isolation(S2: PointSet, cmap: CopyMap) -> bool:
     coords = integer_coordinates(S2)
     n2 = len(coords)
     source = [cmap.source_of(i) for i in range(n2)]
-    clusters: dict[int, list[int]] = {}
-    for i, src in enumerate(source):
-        clusters.setdefault(src, []).append(i)
-    for src, members in sorted(clusters.items()):
-        for a, b in combinations(members, 2):
+    for src in range(cmap.source_n):
+        for a, b in combinations(cmap.copies_of(src), 2):
             for c in range(n2 - 1):
-                if c == a or c == b:
+                if source[c] == src:
                     continue
                 for d in range(c + 1, n2):
-                    if d == a or d == b:
-                        continue
-                    if source[c] == src or source[d] == src:
-                        continue
-                    if _cross_int(coords, a, b, c, d):
+                    if source[d] != src and _cross_int(coords, a, b, c, d):
                         return False
     return True
 
@@ -178,10 +164,8 @@ def verify_copy_order(S: PointSet, S2: PointSet, cmap: CopyMap) -> bool:
     pass strictly above every copy of q; symmetrically when p is below q.
     """
     coords = integer_coordinates(S2)
-    clusters: dict[int, list[int]] = {}
-    for i in range(len(S2)):
-        clusters.setdefault(cmap.source_of(i), []).append(i)
-    for p_src, q_src in combinations(sorted(clusters), 2):
+    clusters = [cmap.copies_of(src) for src in range(len(S))]
+    for p_src, q_src in combinations(range(len(S)), 2):
         for above, below in ((p_src, q_src), (q_src, p_src)):
             if not S[above].y > S[below].y:
                 continue
@@ -267,53 +251,3 @@ def contract_family(
             )
         out.add(Segment(sa, sb))
     return tuple(sorted(out))
-
-
-#: Sizes of the largest known point sets whose maximum crossing family has
-#: size k, as (k, point count) pairs. Entries for k <= 3 are optimal.
-DEFAULT_EXTREMAL_LIBRARY: tuple[tuple[int, int], ...] = (
-    (1, 4),
-    (2, 9),
-    (3, 14),
-    (4, 20),
-    (5, 25),
-    (6, 29),
-    (7, 34),
-    (8, 41),
-    (9, 45),
-    (10, 50),
-)
-
-
-def bound_details(
-    n: int, library: Sequence[tuple[int, int]] = DEFAULT_EXTREMAL_LIBRARY
-) -> tuple[int, Optional[tuple[int, int]]]:
-    """Best replication upper bound and the library entry achieving it.
-
-    Each entry (k, s) certifies that every set of n points has a subset or
-    replication witness forcing cf(n) <= k * ceil(n / s) (subsets of the
-    witness set cover n <= s). The trivial cap floor(n/2) from endpoint
-    disjointness also competes; when it alone wins the entry is ``None``.
-    """
-    if not library:
-        raise ValueError("empty bound library")
-    if n < 1:
-        raise ValueError("point count must be positive")
-    for k, size in library:
-        if k < 1 or size < 1:
-            raise ValueError(f"bad library entry ({k}, {size})")
-    best = n // 2
-    winner: Optional[tuple[int, int]] = None
-    for k, size in library:
-        value = k if n <= size else k * ((n + size - 1) // size)
-        if value < best or (value == best and winner is None):
-            best = value
-            winner = (k, size)
-    return best, winner
-
-
-def best_known_upper_bound(
-    n: int, library: Sequence[tuple[int, int]] = DEFAULT_EXTREMAL_LIBRARY
-) -> int:
-    """min over the library of k * ceil(n / s), capped by floor(n / 2)."""
-    return bound_details(n, library)[0]

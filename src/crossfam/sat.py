@@ -277,10 +277,10 @@ def parse_dimacs(text: str) -> Cnf:
     declared = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    # Canonical literal text -> int over the range of the current problem
-    # line. Tabulating at most one literal per 64 characters of input keeps a
-    # header that declares a huge count cheap; literals beyond the table still
-    # parse, through the checked branch below.
+    # Canonical literal text -> int over the range of the problem line.
+    # Tabulating at most one literal per 64 characters of input keeps a header
+    # that declares a huge count cheap; literals beyond the table still parse,
+    # through the checked branch below.
     table: dict[str, int] = {}
     lookup = table.__getitem__
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -294,11 +294,16 @@ def parse_dimacs(text: str) -> Cnf:
         if not toks or toks[0].startswith("c"):
             continue
         if toks[0].startswith("p"):
+            if num_vars is not None:
+                raise ParseError("second problem line", lineno)
             if len(toks) != 4 or toks[1] != "cnf":
                 raise ParseError(f"bad problem line {raw.strip()!r}", lineno)
             num_vars = _int_token(toks[2], "variable count", lineno)
             declared = _int_token(toks[3], "clause count", lineno)
-            table.clear()
+            if num_vars < 0:
+                raise ParseError(f"negative variable count {num_vars}", lineno)
+            if declared < 0:
+                raise ParseError(f"negative clause count {declared}", lineno)
             top = min(num_vars, len(text) // 64)
             table.update((str(v), v) for v in range(-top, top + 1) if v)
             continue

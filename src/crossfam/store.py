@@ -4,7 +4,8 @@ Each bundled file is an extremal candidate recovered by this package's own
 search (or constructed trivially), re-verified by the exact solver before
 shipping. The claimed maximum crossing-family size is recorded in a
 ``# cf = <value>`` header comment; nothing here is transcribed from
-published figures.
+published figures. The verified entries of the extremal library in
+:mod:`crossfam.known` are read from these files.
 """
 
 from __future__ import annotations

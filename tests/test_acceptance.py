@@ -23,9 +23,8 @@ from crossfam.geometry import (
     convex_position_points,
     normalize_coordinates,
 )
-from crossfam.known import known_bounds
+from crossfam.known import best_known_upper_bound, known_bounds
 from crossfam.replication import (
-    best_known_upper_bound,
     contract_family,
     replicate,
     replicate_certified,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crossfam
 from crossfam.cli import main
 from crossfam.formats import (
     format_graph,
@@ -14,7 +19,7 @@ from crossfam.formats import (
 )
 from crossfam.geometry import Segment, convex_position_points
 from crossfam.search import SearchConfig
-from crossfam.sat import emit_dimacs, encode_no_k_family
+from crossfam.sat import emit_dimacs, encode_no_k_family, parse_dimacs
 from conftest import NINE_POINT_CF2
 
 
@@ -164,6 +169,19 @@ class TestEncodeVerify:
         )
         code, out, _ = run(capsys, "verify-model", str(cnf_path), str(model))
         assert code == 0 and out.strip() == "satisfied"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_encode_to_stdout_is_pure_dimacs(self):
+        # the package has no runtime dependencies, so its own directory suffices
+        env = {**os.environ, "PYTHONPATH": str(Path(crossfam.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossfam", "encode", "--n", "6", "--k", "3", "-o", "/dev/stdout"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        cnf, _ = encode_no_k_family(6, 3)
+        assert [line for line in proc.stdout.splitlines() if line.startswith("p")] == ["p cnf 65 495"]
+        assert parse_dimacs(proc.stdout).clauses == cnf.clauses
+        assert proc.stderr == "p cnf 65 495 -> /dev/stdout\n"
 
     def test_verify_model_violation(self, capsys, tmp_path):
         cnf_path = tmp_path / "tiny.cnf"

@@ -28,8 +28,8 @@ class TestBuildCrossingGraph:
         g = build_crossing_graph(S)
         assert len(g) == 6
         assert g.edge_count == 1
-        i, j = g.index_of(Segment(0, 2)), g.index_of(Segment(1, 3))
-        assert g.crosses(i, j)
+        i, j = g.segments.index(Segment(0, 2)), g.segments.index(Segment(1, 3))
+        assert g.adjacency[i] >> j & 1
 
     def test_triangle_no_adjacency(self):
         g = build_crossing_graph(convex_position_points(3))
@@ -51,7 +51,7 @@ class TestBuildCrossingGraph:
         S = random_pointset(rng, 7)
         g = build_crossing_graph(S)
         for i, j in combinations(range(len(g)), 2):
-            assert g.crosses(i, j) == segments_cross(S, g.segments[i], g.segments[j])
+            assert bool(g.adjacency[i] >> j & 1) == segments_cross(S, g.segments[i], g.segments[j])
 
     def test_rejects_collinear(self):
         with pytest.raises(NotGeneralPositionError):
@@ -161,7 +161,7 @@ class TestCountKFamilies:
             expected = sum(
                 1
                 for subset in combinations(range(len(g)), k)
-                if all(g.crosses(i, j) for i, j in combinations(subset, 2))
+                if all(g.adjacency[i] >> j & 1 for i, j in combinations(subset, 2))
             )
             assert count_k_families(S, k) == expected
 

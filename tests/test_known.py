@@ -1,7 +1,22 @@
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from crossfam.known import KNOWN_VALUES, known_bounds, known_range
-from crossfam.replication import best_known_upper_bound
+import crossfam
+from crossfam import known
+from crossfam.known import (
+    DEFAULT_EXTREMAL_LIBRARY,
+    KNOWN_VALUES,
+    best_known_upper_bound,
+    bound_details,
+    known_bounds,
+    known_provenance,
+    known_range,
+)
+from crossfam.store import bundled_names, load_bundled
 
 
 class TestKnownTable:
@@ -19,19 +34,17 @@ class TestKnownTable:
         lower, upper, entry = known_bounds(21)
         assert lower == 4
         assert upper == best_known_upper_bound(21) == 5
-        assert entry.upper is None
+        assert entry == KNOWN_VALUES[-1]
 
     def test_n41(self):
         lower, upper, _ = known_bounds(41)
         assert (lower, upper) == (4, 8)
 
-    def test_intervals_cover_and_do_not_overlap(self):
-        previous_hi = 1
-        for entry in KNOWN_VALUES:
-            assert entry.n_lo == previous_hi + 1
-            assert entry.lower <= (entry.upper if entry.upper is not None else 10**9)
-            previous_hi = entry.n_hi if entry.n_hi is not None else 10**9
-        assert KNOWN_VALUES[-1].n_hi is None
+    def test_thresholds_and_lower_bounds_strictly_increase(self):
+        assert KNOWN_VALUES[0].n_lo == 2
+        for before, after in zip(KNOWN_VALUES, KNOWN_VALUES[1:]):
+            assert before.n_lo < after.n_lo
+            assert before.lower < after.lower
 
     def test_no_inverted_intervals_against_calculator(self):
         for n in range(5, 100):
@@ -46,3 +59,55 @@ class TestKnownTable:
     def test_provenance_populated(self):
         for entry in KNOWN_VALUES:
             assert entry.provenance
+
+
+class TestDerivedTables:
+    # SHA-256 of repr([(n, known_bounds(n)[:2], bound_details(n)) for n in 2..1000]),
+    # recorded while the library and the known values were still typed by hand
+    GOLDEN = "7e46c3f43b83199648d1738f798f140c6abdc22d577502ba59e34f22b34c346a"
+
+    def test_bounds_match_hand_typed_tables(self):
+        rows = [(n, known_bounds(n)[:2], bound_details(n)) for n in range(2, 1001)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.GOLDEN
+
+    def test_library_matches_hand_typed_library(self):
+        assert DEFAULT_EXTREMAL_LIBRARY == (
+            (1, 4), (2, 9), (3, 14), (4, 20), (5, 25),
+            (6, 29), (7, 34), (8, 41), (9, 45), (10, 50),
+        )
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_every_bundled_set_is_a_library_entry(self, name):
+        S, cf = load_bundled(name)
+        assert known._library_provenance()[cf, len(S)] == f"bundled set {name}"
+
+    def test_cited_entries_do_not_restate_bundled_sets(self):
+        bundled_k = {load_bundled(name)[1] for name in bundled_names()}
+        assert bundled_k.isdisjoint(k for k, _ in known._CITED)
+
+    def test_every_entry_has_a_source(self):
+        sources = known._library_provenance()
+        assert tuple(sources) == DEFAULT_EXTREMAL_LIBRARY
+        assert all(sources.values())
+        assert sources[8, 41] == "arXiv:2109.10705"
+
+    def test_package_exports_the_library(self):
+        assert crossfam.DEFAULT_EXTREMAL_LIBRARY == DEFAULT_EXTREMAL_LIBRARY
+        for module in (crossfam, known):
+            with pytest.raises(AttributeError):
+                module.NO_SUCH_TABLE
+
+    def test_import_reads_no_bundled_file(self):
+        code = ("import crossfam, crossfam.known as k; "
+                "assert k._library_provenance.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       cwd=Path(crossfam.__file__).resolve().parents[1])
+
+    @pytest.mark.parametrize("n,source", [
+        (3, "upper bound 1 from a 4-point set with no 2-crossing family (bundled set n4_cf1)"),
+        (12, "upper bound 3 from 3 copies of a 4-point set with no 2-crossing family "
+             "(bundled set n4_cf1)"),
+        (41, "upper bound 8 from a 41-point set with no 9-crossing family (arXiv:2109.10705)"),
+    ])
+    def test_provenance_names_both_sources(self, n, source):
+        assert known_provenance(n) == f"{known_range(n).provenance}; {source}"

@@ -17,10 +17,8 @@ from crossfam.geometry import (
     normalize_coordinates,
     orientation,
 )
+from crossfam.known import DEFAULT_EXTREMAL_LIBRARY, best_known_upper_bound, bound_details
 from crossfam.replication import (
-    DEFAULT_EXTREMAL_LIBRARY,
-    best_known_upper_bound,
-    bound_details,
     choose_epsilon,
     contract_family,
     replicate,

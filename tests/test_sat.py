@@ -178,6 +178,17 @@ class TestDimacs:
         emit_dimacs(Cnf(3, [(1,), (), (-2, 3), (), ()]), sink, comments=["x"])
         assert sink.getvalue() == b"c x\np cnf 3 5\n1 0\n 0\n-2 3 0\n 0\n 0\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ("p cnf -2 0\n", "line 1: negative variable count -2"),
+        ("c x\np cnf 2 -1\n", "line 2: negative clause count -1"),
+        ("p cnf 2 1\n1 0\np cnf 2 1\n", "line 3: second problem line"),
+        ("p cnf 2 1\np cnf 2\n1 0\n", "line 2: second problem line"),
+    ])
+    def test_bad_problem_lines_rejected(self, text, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_dimacs(text)
+        assert str(excinfo.value) == message
+
     def test_interrupted_file_output_keeps_previous_file(self, tmp_path):
         class Interrupt:
             def __index__(self):
@@ -240,11 +251,17 @@ def reference_parse_dimacs(text):
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError("second problem line", lineno)
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}", lineno)
             num_vars = _reference_int(fields[2], "variable count", lineno)
             declared = _reference_int(fields[3], "clause count", lineno)
+            if num_vars < 0:
+                raise ParseError(f"negative variable count {num_vars}", lineno)
+            if declared < 0:
+                raise ParseError(f"negative clause count {declared}", lineno)
             continue
         if num_vars is None:
             raise ParseError("clause before problem line", lineno)
@@ -298,8 +315,10 @@ def dimacs_texts(draw):
     body = draw(st.lists(st.one_of(clause_line, clause_line, free_line,
                                    comment.map(lambda c: [c]), st.just([])),
                          max_size=12))
-    count = draw(st.sampled_from(["exact", "off", "bad"]))
+    count = draw(st.sampled_from(["exact", "off", "bad", "negative"]))
     declared = len(body) if count == "exact" else draw(st.integers(0, 15))
+    if count == "negative":
+        declared = -1 - declared
     header = ["p", "cnf", str(num_vars), str(declared) if count != "bad" else "x"]
     lines = [header] + body
     if draw(st.booleans()):
@@ -343,8 +362,11 @@ class TestDimacsProperties:
         "p cnf 3 1\n1 x 0\n",                 # non-integer literal
         "p cnf x 1\n1 0\n",                   # non-integer problem field
         "0\np cnf 3 1\n",                     # clause before the problem line
-        # a second problem line narrows the range of a fully tabulated first one
+        # a second problem line is rejected, also after a fully tabulated first one
         "p cnf 3 2\nc " + "." * 256 + "\n3 0\np cnf 1 1\n3 0\n",
+        "p cnf 3 1\np cnf 3 1\n1 0\n",
+        "p cnf -2 0\n",                       # negative variable count
+        "p cnf 2 -1\n",                       # negative clause count
     ])
     def test_parse_agrees_with_reference_on_edge_cases(self, text):
         assert _outcome(parse_dimacs, text) == _outcome(reference_parse_dimacs, text)
