@@ -40,11 +40,18 @@ class TestKnownTable:
         lower, upper, _ = known_bounds(41)
         assert (lower, upper) == (4, 8)
 
-    def test_thresholds_and_lower_bounds_strictly_increase(self):
+    def test_intervals_cover_and_do_not_overlap(self):
+        # Each threshold holds from its n_lo up to the next threshold's n_lo - 1,
+        # and the last one is open, so every n >= 2 lies in exactly one interval.
         assert KNOWN_VALUES[0].n_lo == 2
         for before, after in zip(KNOWN_VALUES, KNOWN_VALUES[1:]):
             assert before.n_lo < after.n_lo
             assert before.lower < after.lower
+        ends = [entry.n_lo for entry in KNOWN_VALUES[1:]] + [10**9]
+        for n in range(2, 100):
+            holding = [entry for entry, end in zip(KNOWN_VALUES, ends)
+                       if entry.n_lo <= n < end]
+            assert holding == [known_range(n)]
 
     def test_no_inverted_intervals_against_calculator(self):
         for n in range(5, 100):
