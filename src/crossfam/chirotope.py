@@ -16,6 +16,13 @@ pairing, and their four signs s_abc, s_abd, s_acd, s_bcd decide which:
 Crossing graphs are therefore built per 4-point subset rather than per pair
 of segments. Rows are bitsets over segments in lexicographic order, the
 order of :func:`crossfam.geometry.all_segments`.
+
+The same signs also come as side masks, bitsets over points: entry
+``a*n + b`` of :func:`side_masks` holds the points c with orient(a, b, c) > 0,
+the points left of the directed line a -> b. Questions about one line and
+many points, such as the replication certificate's, are then a few big-int
+operations: for instance segment cd crosses ab iff c and d lie on opposite
+sides of ab and d lies in exactly one of the masks of (a, c) and (b, c).
 """
 
 from __future__ import annotations
@@ -50,6 +57,49 @@ def orientation_table(coords: list[tuple[int, int]]) -> list[int]:
                 else:
                     raise NotGeneralPositionError(f"points {(a, b, c)} are collinear")
     return table
+
+
+def side_masks(coords: list[tuple[int, int]]) -> list[int]:
+    """Side masks of every ordered pair of an integer coordinate list.
+
+    Entry ``a*n + b`` (a != b) is the bitmask of the points c with
+    orient(a, b, c) > 0; diagonal entries are 0. One determinant per sorted
+    triple a < b < c fills the entries with a < b, and the reversed pair is
+    the complement: every other point lies strictly on one side. Raises
+    :class:`NotGeneralPositionError` naming the first collinear triple in
+    lexicographic order, as :func:`orientation_table` does.
+    """
+    n = len(coords)
+    left = [0] * (n * n)
+    bit = [1 << i for i in range(n)]
+    for a in range(n - 1):
+        ax, ay = coords[a]
+        rel = [(x - ax, y - ay) for x, y in coords]
+        an = a * n
+        abit = bit[a]
+        for b in range(a + 1, n):
+            ux, uy = rel[b]
+            bn = b * n
+            bbit = bit[b]
+            row = left[an + b]
+            for c in range(b + 1, n):
+                vx, vy = rel[c]
+                det = ux * vy - uy * vx
+                if det > 0:  # c left of a->b, a left of b->c, b right of a->c
+                    row |= bit[c]
+                    left[bn + c] |= abit
+                elif det < 0:  # b left of a->c
+                    left[an + c] |= bbit
+                else:
+                    raise NotGeneralPositionError(
+                        f"points {(a, b, c)} are collinear", (a, b, c)
+                    )
+            left[an + b] = row
+    every = (1 << n) - 1
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            left[b * n + a] = every ^ left[a * n + b] ^ bit[a] ^ bit[b]
+    return left
 
 
 def triple_sign(table: list[int], n: int, a: int, b: int, c: int) -> int:

@@ -96,7 +96,7 @@ def _cmd_double(args) -> int:
     out = Path(args.output)
     formats.save_pointset(S2, out, comment=f"{args.m} copies of {len(S)} source points")
     cert_path = out.with_name(out.name + ".cert")
-    cert_path.write_text(formats.format_certificate(cert), encoding="utf-8")
+    formats.save_text(cert_path, formats.format_certificate(cert))
     if not cert.certified:
         print("warning: spacing failed certification; see certificate", file=sys.stderr)
     print(f"wrote {len(S2)} points to {out} (certificate: {cert_path})")
@@ -211,7 +211,7 @@ def _cmd_search(args) -> int:
         state.best, best_path,
         comment=f"best of seed {cfg.seed}: {state.best_objective} families of size {cfg.k}",
     )
-    trace_path.write_text(formats.format_trace_csv(state.trace), encoding="utf-8")
+    formats.save_text(trace_path, formats.format_trace_csv(state.trace))
     print(f"best objective {state.best_objective} "
           f"({len(state.trace) - 1} iterations) -> {best_path}")
     return 0
@@ -226,7 +226,7 @@ def _cmd_plot(args) -> int:
             print("warning: witness file is not a valid crossing family here",
                   file=sys.stderr)
     out = args.output or str(Path(args.pointset).with_suffix(".svg"))
-    Path(out).write_text(svgplot.render_svg(S, family), encoding="utf-8")
+    formats.save_text(out, svgplot.render_svg(S, family))
     print(f"wrote {out}")
     return 0
 

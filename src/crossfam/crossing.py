@@ -11,6 +11,7 @@ exhaustive clique enumeration used as an oracle in tests.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .chirotope import crossing_rows, orientation_table
@@ -68,40 +69,52 @@ class CliqueSearch:
     greedy color classes and a branch is cut when the current clique plus
     its color bound cannot beat the incumbent. ``best_size``/``best`` are
     readable mid-run, so callers may inspect progress after an interrupt.
+
+    The degeneracy order is computed bit-parallel, in the style of the
+    BBMC family of solvers (San Segundo et al.): the degrees are held as one
+    bitset per binary digit, so each removal step is O(log max degree)
+    big-int operations rather than a scan over the vertices, and each row is
+    relabeled in one pass over its binary text.
     """
 
     def __init__(self, adjacency: Sequence[int]):
         n = len(adjacency)
         # Repeatedly remove a minimum-degree vertex (ties: smallest index) and
         # give the k-th removed the internal label n-1-k, so label 0 is the
-        # last removed (highest core number). An edge is relabeled when its
-        # second endpoint is removed.
+        # last removed (highest core number). planes[j] holds bit j of the
+        # degree of every vertex; the dead ones are masked out by ``alive``.
         degs = [row.bit_count() for row in adjacency]
-        alive = list(range(n))
-        alive_bits = (1 << n) - 1
-        label = [0] * n
-        self._to_original = [0] * n
-        self._adj = [0] * n
+        width = max(degs, default=0).bit_length() or 1
+        texts = [format(d, f"0{width}b") for d in reversed(degs)]
+        planes = [int("".join(col), 2) for col in zip(*texts)][::-1]
+        alive = (1 << n) - 1
+        order = [0] * n
         for new in range(n - 1, -1, -1):
-            v = min(alive, key=degs.__getitem__)
-            alive.remove(v)
-            alive_bits ^= 1 << v
-            label[v] = new
-            self._to_original[new] = v
-            neigh = adjacency[v] & alive_bits
-            removed = adjacency[v] ^ neigh
-            while neigh:
-                bit = neigh & -neigh
-                degs[bit.bit_length() - 1] -= 1
-                neigh ^= bit
-            packed = 0
-            while removed:
-                bit = removed & -removed
-                u = label[bit.bit_length() - 1]
-                packed |= 1 << u
-                self._adj[u] |= 1 << new
-                removed ^= bit
-            self._adj[new] = packed
+            low = alive
+            for plane in reversed(planes):
+                zeros = low & ~plane
+                if zeros:
+                    low = zeros
+            low &= -low
+            v = low.bit_length() - 1
+            alive ^= low
+            order[new] = v
+            borrow = adjacency[v] & alive
+            for j, plane in enumerate(planes):
+                if not borrow:
+                    break
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
+        self._to_original = order
+        # Relabel each row in one pass over its binary text: the character
+        # for original vertex u sits at position n-1-u, and the new text
+        # lists new labels n-1 down to 0.
+        if n:
+            pick = itemgetter(*[n - 1 - order[new] for new in range(n - 1, -1, -1)])
+            text = f"0{n}b"
+            self._adj = [int("".join(pick(format(adjacency[v], text))), 2) for v in order]
+        else:
+            self._adj = []
         self._n = n
         self.best_size = 0
         self.best: tuple[int, ...] = ()

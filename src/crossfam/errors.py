@@ -6,7 +6,14 @@ class CrossfamError(Exception):
 
 
 class NotGeneralPositionError(CrossfamError):
-    """A point set required to be in general position has three collinear points."""
+    """A point set required to be in general position has three collinear points.
+
+    ``triple`` names the collinear index triple when the raiser knows it.
+    """
+
+    def __init__(self, message: str, triple: tuple[int, int, int] | None = None):
+        self.triple = triple
+        super().__init__(message)
 
 
 class InvalidSegmentError(CrossfamError):

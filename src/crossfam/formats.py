@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -92,7 +93,42 @@ def load_pointset(path) -> PointSet:
 
 
 def save_pointset(S: PointSet, path, comment: str | None = None) -> None:
-    Path(path).write_text(format_pointset(S, comment), encoding="utf-8")
+    save_text(path, format_pointset(S, comment))
+
+
+def write_atomic(out, chunks: Iterable[bytes]) -> None:
+    """Write the byte chunks to the file ``out`` so it is never seen half written.
+
+    The chunks go to a temporary file in the target's directory, which is
+    flushed to disk and renamed over the target, through any symlinks, only
+    once every chunk is written; on any exception, an interrupt included,
+    the temporary file is removed and an existing target is left as it was.
+    An existing target that is not a regular file, such as ``/dev/stdout``
+    or a pipe, is written directly.
+    """
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "wb") as sink:
+            for chunk in chunks:
+                sink.write(chunk)
+        return
+    path = Path(os.path.realpath(out))
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    sink = open(tmp, "xb")
+    try:
+        with sink:
+            for chunk in chunks:
+                sink.write(chunk)
+            sink.flush()
+            os.fsync(sink.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_text(path, text: str) -> None:
+    """Replace the file ``path`` with UTF-8 ``text`` through :func:`write_atomic`."""
+    write_atomic(path, (text.encode("utf-8"),))
 
 
 def _parse_segment_line(lineno: int, line: str) -> Segment:

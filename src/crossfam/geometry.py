@@ -144,23 +144,6 @@ def _collinear_triple(coords: list[tuple[int, int]]) -> tuple[int, int, int] | N
     return None
 
 
-def _cross_int(coords, a: int, b: int, c: int, d: int) -> bool:
-    """Proper-crossing test on an integer coordinate list (indices distinct)."""
-    ax, ay = coords[a]
-    bx, by = coords[b]
-    cx, cy = coords[c]
-    dx, dy = coords[d]
-    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-    if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
-        return False
-    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    if o3 == 0 or o4 == 0:
-        return False
-    return (o3 > 0) != (o4 > 0)
-
-
 def has_distinct_coordinates(S: PointSet) -> bool:
     """True iff all x-coordinates are pairwise distinct and likewise all y."""
     n = len(S)

@@ -12,6 +12,12 @@ exhaustive checks certify a spacing:
 
 ``choose_epsilon`` halves a spacing until both checks pass, so emitted sets
 carry a machine-verified certificate rather than an asymptotic argument.
+
+Both checks read the side masks of :func:`crossfam.chirotope.side_masks`,
+whose one pass over the replica's triples is also its general-position
+check; this module does no orientation arithmetic of its own. Cluster
+isolation is then a few mask operations per intra-cluster segment and
+outside point, and copy order one subset test per line through two copies.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .chirotope import side_masks
 from .errors import (
     DegenerateEpsilonError,
     EpsilonSearchError,
@@ -32,8 +39,6 @@ from .geometry import (
     Point,
     PointSet,
     Segment,
-    _collinear_triple,
-    _cross_int,
     has_distinct_coordinates,
     integer_coordinates,
     is_general_position,
@@ -114,6 +119,14 @@ def replicate(
     ``total`` optionally trims the output to exactly that many points by
     dropping the highest copy numbers of the last source points.
     """
+    S2, cmap, _ = _replicate(S, m, epsilon, total)
+    return S2, cmap
+
+
+def _replicate(
+    S: PointSet, m: int, epsilon: Coord, total: Optional[int]
+) -> tuple[PointSet, CopyMap, list[int]]:
+    """:func:`replicate`, also returning the replica's side masks."""
     if m < 1:
         raise ValueError("copy count must be at least 1")
     eps = Fraction(epsilon)
@@ -131,10 +144,13 @@ def replicate(
     out = PointSet(tuple(points))
     if not has_distinct_coordinates(out):
         raise DegenerateEpsilonError(f"epsilon {eps} collides replica coordinates")
-    bad = _collinear_triple(integer_coordinates(out))
-    if bad is not None:
-        raise DegenerateEpsilonError(f"epsilon {eps} makes points {bad} collinear")
-    return out, CopyMap(tuple(entries), len(S))
+    try:
+        left = side_masks(integer_coordinates(out))
+    except NotGeneralPositionError as exc:
+        raise DegenerateEpsilonError(
+            f"epsilon {eps} makes points {exc.triple} collinear"
+        ) from None
+    return out, CopyMap(tuple(entries), len(S)), left
 
 
 def verify_cluster_isolation(S2: PointSet, cmap: CopyMap) -> bool:
@@ -142,18 +158,35 @@ def verify_cluster_isolation(S2: PointSet, cmap: CopyMap) -> bool:
 
     Every segment joining two copies of one source point may be crossed only
     by segments with at least one endpoint at a copy of that same source.
+    ``S2`` must be in general position.
     """
-    coords = integer_coordinates(S2)
-    n2 = len(coords)
-    source = [cmap.source_of(i) for i in range(n2)]
+    return _cluster_isolation(side_masks(integer_coordinates(S2)), cmap)
+
+
+def _cluster_isolation(left: list[int], cmap: CopyMap) -> bool:
+    """Cluster isolation read from the replica's side masks.
+
+    For copies a, b of one source, let L and R be the outside points left
+    and right of a -> b. A segment cd with c in L, d in R crosses ab iff a
+    and b lie on opposite sides of cd, i.e. iff d lies in exactly one of the
+    side masks of (a, c) and (b, c).
+    """
+    n2 = len(cmap)
+    every = (1 << n2) - 1
     for src in range(cmap.source_n):
-        for a, b in combinations(cmap.copies_of(src), 2):
-            for c in range(n2 - 1):
-                if source[c] == src:
-                    continue
-                for d in range(c + 1, n2):
-                    if source[d] != src and _cross_int(coords, a, b, c, d):
-                        return False
+        cluster = cmap.copies_of(src)
+        outside = every
+        for i in cluster:
+            outside ^= 1 << i
+        for a, b in combinations(cluster, 2):
+            lefts = left[a * n2 + b] & outside
+            rights = left[b * n2 + a] & outside
+            while lefts:
+                low = lefts & -lefts
+                c = low.bit_length() - 1
+                if (left[a * n2 + c] ^ left[b * n2 + c]) & rights:
+                    return False
+                lefts ^= low
     return True
 
 
@@ -162,23 +195,30 @@ def verify_copy_order(S: PointSet, S2: PointSet, cmap: CopyMap) -> bool:
 
     For sources p above q, every line through two distinct copies of p must
     pass strictly above every copy of q; symmetrically when p is below q.
+    ``S2`` must be in general position.
     """
-    coords = integer_coordinates(S2)
-    clusters = [cmap.copies_of(src) for src in range(len(S))]
-    for p_src, q_src in combinations(range(len(S)), 2):
-        for above, below in ((p_src, q_src), (q_src, p_src)):
-            if not S[above].y > S[below].y:
-                continue
-            for u, v in combinations(clusters[above], 2):
-                ux, uy = coords[u]
-                vx, vy = coords[v]
-                if ux > vx:
-                    ux, uy, vx, vy = vx, vy, ux, uy
-                for w in clusters[below]:
-                    wx, wy = coords[w]
-                    # w strictly below the line u->v means a clockwise turn
-                    if (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux) >= 0:
-                        return False
+    return _copy_order(S, S2, cmap, side_masks(integer_coordinates(S2)))
+
+
+def _copy_order(S: PointSet, S2: PointSet, cmap: CopyMap, left: list[int]) -> bool:
+    """Copy order read from the replica's side masks.
+
+    A point lies strictly below the line through copies u, v with
+    x_u < x_v iff it lies left of v -> u, so every copy of a lower source
+    must be in the side mask of (v, u).
+    """
+    n2 = len(S2)
+    lower = 0  # copies of every source below the current one
+    # sources have pairwise distinct y, as replication requires
+    for src in sorted(range(len(S)), key=lambda i: S[i].y):
+        cluster = cmap.copies_of(src)
+        for u, v in combinations(cluster, 2):
+            if S2[u].x > S2[v].x:
+                u, v = v, u
+            if lower & ~left[v * n2 + u]:
+                return False
+        for i in cluster:
+            lower |= 1 << i
     return True
 
 
@@ -199,11 +239,11 @@ def choose_epsilon(S: PointSet, m: int) -> Coord:
     eps = Fraction(min(gaps)) / (4 * m) if gaps else Fraction(1, 4 * m)
     for _ in range(65):
         try:
-            S2, cmap = replicate(S, m, eps)
+            S2, cmap, left = _replicate(S, m, eps, None)
         except DegenerateEpsilonError:
             eps /= 2
             continue
-        if verify_cluster_isolation(S2, cmap) and verify_copy_order(S, S2, cmap):
+        if _cluster_isolation(left, cmap) and _copy_order(S, S2, cmap, left):
             return eps
         eps /= 2
     raise EpsilonSearchError(f"no certified spacing found for n={len(S)}, m={m}")
@@ -219,13 +259,13 @@ def replicate_certified(
     """
     if epsilon is None:
         epsilon = choose_epsilon(S, m)
-    S2, cmap = replicate(S, m, epsilon, total=total)
+    S2, cmap, left = _replicate(S, m, epsilon, total)
     cert = ReplicationCertificate(
         epsilon=epsilon,
         m=m,
         source_n=len(S),
-        cluster_isolation_ok=verify_cluster_isolation(S2, cmap),
-        copy_order_ok=verify_copy_order(S, S2, cmap),
+        cluster_isolation_ok=_cluster_isolation(left, cmap),
+        copy_order_ok=_copy_order(S, S2, cmap, left),
     )
     return S2, cmap, cert
 

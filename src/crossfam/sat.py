@@ -39,14 +39,14 @@ per-token branch, which is the only place that raises.
 
 from __future__ import annotations
 
-import os
 from itertools import chain, combinations, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .chirotope import _segment_offsets, crossing_rows, orientation_table, triple_sign
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
+from .formats import write_atomic
 from .geometry import PointSet, Segment, integer_coordinates
 
 Assignment = list[bool]
@@ -224,36 +224,23 @@ def default_dimacs_comments(vm: VarMap, k: Optional[int] = None) -> list[str]:
 def emit_dimacs(cnf: Cnf, out: Union[str, Path, BinaryIO], comments: Iterable[str] = ()) -> None:
     """Write standard DIMACS CNF with LF line endings; byte-identical across runs.
 
-    A path to a regular file (or to nothing yet) is replaced atomically: the
-    text goes to a temporary file in the same directory, which is renamed over
-    the file, through any symlinks, only once it is complete. A device or pipe
-    such as ``/dev/stdout`` is written directly.
+    A path is written through :func:`crossfam.formats.write_atomic`: a
+    regular file (or a new one) is replaced atomically, so an interrupted
+    run leaves an earlier file intact, while a device or pipe such as
+    ``/dev/stdout`` is written directly.
     """
-    if not isinstance(out, (str, Path)):
-        _write_dimacs(cnf, out, comments)
+    chunks = _dimacs_chunks(cnf, comments)
+    if isinstance(out, (str, Path)):
+        write_atomic(out, chunks)
         return
-    if os.path.exists(out) and not os.path.isfile(out):
-        with open(out, "wb") as sink:
-            _write_dimacs(cnf, sink, comments)
-        return
-    path = Path(os.path.realpath(out))
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    sink = open(tmp, "xb")
-    try:
-        with sink:
-            _write_dimacs(cnf, sink, comments)
-            sink.flush()
-            os.fsync(sink.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    for chunk in chunks:
+        out.write(chunk)
 
 
-def _write_dimacs(cnf: Cnf, sink: BinaryIO, comments: Iterable[str]) -> None:
+def _dimacs_chunks(cnf: Cnf, comments: Iterable[str]) -> Iterator[bytes]:
     header = [f"c {c}\n" for c in comments]
     header.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}\n")
-    sink.write("".join(header).encode("ascii"))
+    yield "".join(header).encode("ascii")
     clauses = cnf.clauses
     for start in range(0, len(clauses), _EMIT_CHUNK):
         parts = []
@@ -261,7 +248,7 @@ def _write_dimacs(cnf: Cnf, sink: BinaryIO, comments: Iterable[str]) -> None:
             run = list(run)
             line = "%d " * width + "0\n" if width else " 0\n"
             parts.append(line * len(run) % tuple(chain.from_iterable(run)))
-        sink.write("".join(parts).encode("ascii"))
+        yield "".join(parts).encode("ascii")
 
 
 def _int_token(tok: str, what: str, lineno: int) -> int:

@@ -9,6 +9,7 @@ from crossfam.chirotope import (
     crossing_rows,
     orientation_table,
     refresh_point_rows,
+    side_masks,
     triple_sign,
     update_point_signs,
 )
@@ -51,6 +52,30 @@ def test_graph_matches_pairwise_predicate(coords):
         assert str(exc.value) == f"points {bad} are collinear"
         return
     assert list(build_crossing_graph(S).adjacency) == pairwise_rows(S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_sets)
+def test_side_masks_match_direct_orientation(coords):
+    bad = _collinear_triple(coords)
+    if bad is not None:
+        with pytest.raises(NotGeneralPositionError) as exc:
+            side_masks(coords)
+        assert str(exc.value) == f"points {bad} are collinear"
+        assert exc.value.triple == bad
+        return
+    n = len(coords)
+    S = PointSet.from_coords(coords)
+    left = side_masks(coords)
+    assert len(left) == n * n
+    for a in range(n):
+        for b in range(n):
+            expected = 0
+            if a != b:
+                for c in range(n):
+                    if c not in (a, b) and orientation(S[a], S[b], S[c]) > 0:
+                        expected |= 1 << c
+            assert left[a * n + b] == expected, (a, b)
 
 
 def test_table_holds_sorted_triple_orientations(rng):

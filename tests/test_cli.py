@@ -290,6 +290,53 @@ class TestPlot:
         assert out_path.read_text().count("<line") == 2
 
 
+class TestInterruptedOutputs:
+    """An interrupt while an output is written leaves that file as it was."""
+
+    @pytest.fixture
+    def interrupt_at(self, monkeypatch):
+        def install(call):
+            calls = []
+            real = os.fsync
+
+            def fsync(fd):
+                calls.append(fd)
+                if len(calls) == call:
+                    raise KeyboardInterrupt
+                real(fd)
+
+            monkeypatch.setattr("crossfam.formats.os.fsync", fsync)
+        return install
+
+    def _check(self, tmp_path, argv, outputs, call, interrupt_at):
+        for path in outputs:
+            path.write_text("previous\n")
+        interrupt_at(call)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        # outputs before the interrupted one are complete, the rest untouched
+        assert [path.read_text() != "previous\n" for path in outputs] == [
+            i < call - 1 for i in range(len(outputs))]
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_double(self, tmp_path, pentagon_file, interrupt_at, call):
+        out = tmp_path / "doubled.txt"
+        self._check(tmp_path, ["double", pentagon_file, "--m", "2", "-o", str(out)],
+                    [out, tmp_path / "doubled.txt.cert"], call, interrupt_at)
+
+    @pytest.mark.parametrize("call", [1, 2])
+    def test_search(self, tmp_path, interrupt_at, call):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(format_search_config(SearchConfig(n=6, k=3, seed=1, iterations=20)))
+        self._check(tmp_path, ["search", str(cfg_path)],
+                    [tmp_path / "run.best.txt", tmp_path / "run.trace.csv"], call, interrupt_at)
+
+    def test_plot(self, tmp_path, pentagon_file, interrupt_at):
+        out = tmp_path / "plot.svg"
+        self._check(tmp_path, ["plot", pentagon_file, "-o", str(out)], [out], 1, interrupt_at)
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["decide", "somefile"])  # missing required --k

@@ -229,6 +229,49 @@ def test_clique_search_relabels_by_degeneracy_order(adj):
     assert (search._to_original, search._adj) == _reference_relabel(adj)
 
 
+def _graph(n, edges):
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return _graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _power_of_two_graph():
+    """Cliques of 2^j - 1, 2^j and 2^j + 1 members, then a star with 64
+    leaves, so degrees start on both sides of every 2^j up to 64 and the
+    centre's degree crosses each of them on the way down."""
+    edges, start = [], 0
+    for size in [s for j in range(7) for s in (2**j - 1, 2**j, 2**j + 1)]:
+        edges += combinations(range(start, start + size), 2)
+        start += size
+    edges += [(start, leaf) for leaf in range(start + 1, start + 65)]
+    return _graph(start + 65, edges)
+
+
+@pytest.mark.parametrize("adj", [
+    [],
+    [0],
+    [0] * 5,
+    [0] * 70,
+    _graph(9, combinations(range(9), 2)),
+    _graph(70, combinations(range(70), 2)),
+    _power_of_two_graph(),
+    _random_graph(65, 0.5, 1),
+    _random_graph(130, 0.2, 2),
+    _random_graph(1030, 0.01, 3),
+], ids=["empty", "one-vertex", "isolated-5", "isolated-70", "complete-9",
+        "complete-70", "powers-of-two", "random-65", "random-130", "random-1030"])
+def test_clique_search_order_on_fixed_graphs(adj):
+    search = CliqueSearch(adj)
+    assert (search._to_original, search._adj) == _reference_relabel(adj)
+
+
 def _brute_force_cliques(adj, k, cand, hit=None):
     inside = [v for v in range(len(adj)) if cand >> v & 1]
     return sum(

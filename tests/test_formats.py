@@ -18,11 +18,52 @@ from crossfam.formats import (
     parse_search_config,
     parse_witness,
     save_pointset,
+    save_text,
+    write_atomic,
 )
 from crossfam.geometry import PointSet, Segment
 from crossfam.replication import ReplicationCertificate
 from crossfam.search import SearchConfig
 from conftest import random_pointset
+
+
+class TestWriteAtomic:
+    def test_interrupt_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"previous\n")
+
+        def chunks():
+            yield b"first chunk\n"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_replaces_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"previous\n" * 100)
+        write_atomic(path, [b"a", b"b\n"])
+        assert path.read_bytes() == b"ab\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_bytes(b"previous\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        save_text(link, "caf\u00e9\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == "caf\u00e9\n".encode("utf-8")
+
+    def test_device_written_directly(self):
+        write_atomic("/dev/null", [b"discarded\n"])
+
+    def test_missing_directory_fails_without_a_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            save_text(tmp_path / "missing" / "out.txt", "x")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPointsetFormat:

@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfam.crossing import max_crossing_family
 from crossfam.errors import (
@@ -13,12 +17,14 @@ from crossfam.geometry import (
     Segment,
     convex_position_points,
     has_distinct_coordinates,
+    integer_coordinates,
     is_general_position,
     normalize_coordinates,
     orientation,
 )
 from crossfam.known import DEFAULT_EXTREMAL_LIBRARY, best_known_upper_bound, bound_details
 from crossfam.replication import (
+    CopyMap,
     choose_epsilon,
     contract_family,
     replicate,
@@ -26,6 +32,8 @@ from crossfam.replication import (
     verify_cluster_isolation,
     verify_copy_order,
 )
+from crossfam.search import random_general_position
+from crossfam.store import bundled_names, load_bundled
 from crossfam.thrackle import GeometricGraph, is_forest, is_geometric_thrackle
 from conftest import random_pointset
 
@@ -126,6 +134,140 @@ class TestVerifiers:
             found_s1 = found_s1 or not verify_cluster_isolation(S2, cmap)
             found_s2 = found_s2 or not verify_copy_order(TRIANGLE, S2, cmap)
         assert found_s1 and found_s2
+
+
+def _cross(coords, a, b, c, d):
+    """Pairwise proper-crossing test on integer coordinates (indices distinct)."""
+    ax, ay = coords[a]
+    bx, by = coords[b]
+    cx, cy = coords[c]
+    dx, dy = coords[d]
+    o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+    if o1 == 0 or o2 == 0 or (o1 > 0) == (o2 > 0):
+        return False
+    o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+    o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+    if o3 == 0 or o4 == 0:
+        return False
+    return (o3 > 0) != (o4 > 0)
+
+
+def reference_cluster_isolation(S2, cmap):
+    """Every pair of segments, one inside a cluster, one avoiding it."""
+    coords = integer_coordinates(S2)
+    n2 = len(coords)
+    source = [cmap.source_of(i) for i in range(n2)]
+    for src in range(cmap.source_n):
+        for a, b in combinations(cmap.copies_of(src), 2):
+            for c, d in combinations(range(n2), 2):
+                if source[c] != src and source[d] != src and _cross(coords, a, b, c, d):
+                    return False
+    return True
+
+
+def reference_copy_order(S, S2, cmap):
+    """Every line through two copies of a higher source against every lower copy."""
+    coords = integer_coordinates(S2)
+    for above, below in combinations(range(len(S)), 2):
+        if S[above].y < S[below].y:
+            above, below = below, above
+        elif S[above].y == S[below].y:
+            continue
+        for u, v in combinations(cmap.copies_of(above), 2):
+            (ux, uy), (vx, vy) = sorted((coords[u], coords[v]))
+            for w in cmap.copies_of(below):
+                wx, wy = coords[w]
+                if (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux) >= 0:
+                    return False
+    return True
+
+
+def replication_case(seed):
+    """A source set, a copy count, a spacing around the certified one, a total."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 6), rng.randint(1, 4)
+    S = normalize_coordinates(random_general_position(n, rng, 30))
+    # from well below the certified spacing (passes) to far above it (fails)
+    eps = choose_epsilon(S, m) * Fraction(2) ** rng.randint(-2, 8)
+    eps *= Fraction(rng.randint(1, 7), rng.randint(1, 7))
+    total = rng.choice([None, rng.randint(n, n * m)])
+    return S, m, eps, total
+
+
+class TestVerifiersAgainstPairwiseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_verifiers_agree(self, seed):
+        S, m, eps, total = replication_case(seed)
+        try:
+            S2, cmap = replicate(S, m, eps, total)
+        except DegenerateEpsilonError:
+            return
+        isolation = reference_cluster_isolation(S2, cmap)
+        order = reference_copy_order(S, S2, cmap)
+        assert verify_cluster_isolation(S2, cmap) == isolation
+        assert verify_copy_order(S, S2, cmap) == order
+        _, _, cert = replicate_certified(S, m, eps, total)
+        assert (cert.cluster_isolation_ok, cert.copy_order_ok) == (isolation, order)
+        # the verifiers read labels, not positions: relabel the replica
+        perm = list(range(len(S2)))
+        random.Random(seed).shuffle(perm)
+        S2p = PointSet(tuple(S2[i] for i in perm))
+        cmapp = CopyMap(tuple(cmap.entries[i] for i in perm), cmap.source_n)
+        assert verify_cluster_isolation(S2p, cmapp) == isolation
+        assert verify_copy_order(S, S2p, cmapp) == order
+        assert reference_copy_order(S, S2p, cmapp) == order
+
+    def test_sweep_covers_every_outcome(self):
+        outcomes = set()
+        for seed in range(200):
+            S, m, eps, total = replication_case(seed)
+            try:
+                S2, cmap = replicate(S, m, eps, total)
+            except DegenerateEpsilonError:
+                continue
+            outcome = (reference_cluster_isolation(S2, cmap), reference_copy_order(S, S2, cmap))
+            assert (verify_cluster_isolation(S2, cmap),
+                    verify_copy_order(S, S2, cmap)) == outcome
+            outcomes.add(outcome)
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+#: choose_epsilon of the normalized bundled sets for m = 2, 3, 4
+GOLDEN_EPSILON = {
+    "n4_cf1": ("1/16", "1/24", "1/32"),
+    "n9_cf2": ("1/16", "1/48", "1/64"),
+    "n14_cf3": ("1/64", "1/96", "1/256"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EPSILON))
+def test_golden_epsilon_of_bundled_sets(name):
+    assert set(GOLDEN_EPSILON) == set(bundled_names())
+    S = normalize_coordinates(load_bundled(name)[0])
+    assert tuple(str(choose_epsilon(S, m)) for m in (2, 3, 4)) == GOLDEN_EPSILON[name]
+
+
+QUAD = PointSet.from_coords([(0, 0), (7, 2), (3, 9), (10, 5)])
+
+
+@pytest.mark.parametrize("S,m,eps,message", [
+    (TRIANGLE, 2, Fraction(1, 4), "epsilon 1/4 makes points (0, 1, 2) collinear"),
+    (QUAD, 2, Fraction(1), "epsilon 1 makes points (2, 3, 6) collinear"),
+    (QUAD, 2, Fraction(1, 2), "epsilon 1/2 makes points (0, 1, 6) collinear"),
+    (QUAD, 2, Fraction(3, 2), "epsilon 3/2 makes points (0, 3, 6) collinear"),
+    (QUAD, 3, Fraction(1, 3), "epsilon 1/3 makes points (4, 5, 10) collinear"),
+    (QUAD, 3, Fraction(1, 4), "epsilon 1/4 makes points (0, 2, 9) collinear"),
+    (PointSet.from_coords([(0, 0), (1, 3)]), 2, 1, "epsilon 1 collides replica coordinates"),
+])
+def test_degenerate_epsilon_message(S, m, eps, message):
+    with pytest.raises(DegenerateEpsilonError) as exc:
+        replicate(S, m, eps)
+    assert str(exc.value) == message
+    with pytest.raises(DegenerateEpsilonError) as exc:
+        replicate_certified(S, m, eps)
+    assert str(exc.value) == message
 
 
 class TestChooseEpsilon:
