@@ -23,7 +23,7 @@ from .crossing import (
 )
 from .errors import CrossfamError
 from .geometry import is_general_position, normalize_coordinates
-from .known import bound_details, known_bounds, known_provenance
+from .known import bound_details, entry_source, known_bounds, known_provenance
 from .replication import replicate_certified
 from .search import anneal, random_general_position
 from .formats import load_pointset
@@ -107,7 +107,7 @@ def _cmd_bound(args) -> int:
     bound, entry = bound_details(args.n)
     if args.json:
         _emit_json({"command": "bound", "n": args.n, "bound": bound,
-                    "entry": list(entry) if entry else None})
+                    "entry": list(entry) if entry else None, "source": entry_source(entry)})
         return 0
     if entry is None:
         print(f"cf({args.n}) <= {bound}  [floor(n/2) endpoint cap]")

@@ -14,7 +14,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .chirotope import crossing_rows, orientation_table
+from .chirotope import crossing_rows, side_masks
 from .errors import SizeLimitError
 from .geometry import (
     PointSet,
@@ -53,8 +53,8 @@ def build_crossing_graph(S: PointSet) -> CrossingGraph:
     """Crossing graph over all segments of ``S`` (requires general position, n >= 2)."""
     if len(S) < 2:
         raise ValueError("need at least two points to span a segment")
-    table = orientation_table(integer_coordinates(S))
-    return CrossingGraph(all_segments(len(S)), tuple(crossing_rows(table, len(S))))
+    left = side_masks(integer_coordinates(S))
+    return CrossingGraph(all_segments(len(S)), tuple(crossing_rows(left, len(S))))
 
 
 class _TargetReached(Exception):

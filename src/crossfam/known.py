@@ -108,14 +108,21 @@ def known_bounds(n: int) -> tuple[int, int, KnownValue]:
     return entry.lower, best_known_upper_bound(n), entry
 
 
+def entry_source(entry: Optional[tuple[int, int]]) -> Optional[str]:
+    """The bundled set or citation behind a library entry of :func:`bound_details`.
+
+    ``None`` stands for the floor(n/2) endpoint cap, which needs no source.
+    """
+    return None if entry is None else _library_provenance()[entry]
+
+
 def known_provenance(n: int) -> str:
     """Where the two bounds of :func:`known_bounds` come from."""
     upper, entry = bound_details(n)
     source = "the floor(n/2) endpoint cap"
     if entry is not None:
         k, size = entry
-        source = (f"a {size}-point set with no {k + 1}-crossing family "
-                  f"({_library_provenance()[entry]})")
+        source = f"a {size}-point set with no {k + 1}-crossing family ({entry_source(entry)})"
         if n > size:
             source = f"{-(-n // size)} copies of {source}"
     return f"{known_range(n).provenance}; upper bound {upper} from {source}"

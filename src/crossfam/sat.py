@@ -44,7 +44,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .chirotope import _segment_offsets, crossing_rows, orientation_table, triple_sign
+from .chirotope import _segment_offsets, crossing_rows, side_masks
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
 from .formats import write_atomic
 from .geometry import PointSet, Segment, integer_coordinates
@@ -329,7 +329,7 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
     raw = integer_coordinates(S)
     coords = [raw[i] for i in order]
     try:
-        table = orientation_table(coords)
+        left = side_masks(coords)
     except NotGeneralPositionError:
         raise NotGeneralPositionError("assignment requires general position") from None
     if len({p.x for p in S}) != len(S):
@@ -337,8 +337,8 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
     n = vm.n
     asg: Assignment = [False] * (vm.num_vars + 1)
     for (a, b, c), var in vm._triple_id.items():
-        asg[var] = triple_sign(table, n, a, b, c) > 0
-    rows = crossing_rows(table, n)
+        asg[var] = bool(left[a * n + b] >> c & 1)
+    rows = crossing_rows(left, n)
     off = _segment_offsets(n)
     for ((a, b), (c, d)), var in vm._pair_id.items():
         asg[var] = bool(rows[off[a] + b] >> (off[c] + d) & 1)

@@ -6,10 +6,16 @@ sharing an endpoint never cross, so every family that a move of point p
 creates or destroys holds exactly one segment s through p, and the other
 k-1 segments form a clique in the crossing neighbourhood of s before or
 after the move. Cliques in both neighbourhoods cancel, so only the cliques
-meeting a neighbour that s gained or lost are counted. A move that leaves
-the orientation table unchanged leaves the crossing graph and the objective
-unchanged and costs no count at all. States live on an integer grid so
-every predicate stays exact and checkpoints serialize losslessly.
+meeting a neighbour that s gained or lost are counted.
+
+The state is the side-mask table of :mod:`crossfam.chirotope` and the
+crossing rows read from it. A move computes the n-1 masks through the
+moved point, which are also its general-position test; when they equal the
+old ones the table, the crossing graph and the objective are unchanged and
+the move costs no count at all. Otherwise the table is rewritten through
+the point and only the n-1 crossing rows through it are rebuilt. States
+live on an integer grid so every predicate stays exact and checkpoints
+serialize losslessly.
 
 Randomness comes from ``random.Random`` (the seedable, platform-independent
 Mersenne Twister in the standard library); displacement offsets are drawn
@@ -28,9 +34,10 @@ from typing import Callable, Optional
 from .chirotope import (
     _segment_offsets,
     crossing_rows,
-    orientation_table,
+    point_masks,
     refresh_point_rows,
-    update_point_signs,
+    side_masks,
+    update_point_masks,
 )
 from .crossing import _count_cliques, _count_cliques_meeting, count_k_families
 from .errors import NotGeneralPositionError, RetryExhaustedError
@@ -94,11 +101,10 @@ def random_general_position(n: int, rng: random.Random, bound: int) -> PointSet:
     if n >= 1 and bound < 1:
         raise ValueError("bound must be positive")
     coords: list[tuple[int, int]] = []
-    scratch = [0] * n ** 3  # only the general-position verdict of each pass is read
     for i in range(n):
         for _ in range(_MAX_RETRIES):
             coords.append((rng.randint(-bound, bound), rng.randint(-bound, bound)))
-            if update_point_signs(scratch, coords, i):
+            if point_masks(coords, i) is not None:
                 break
             coords.pop()
         else:
@@ -108,19 +114,18 @@ def random_general_position(n: int, rng: random.Random, bound: int) -> PointSet:
 
 def _move(
     coords: list[tuple[int, int]],
-    signs: list[int],
     rng: random.Random,
     sigma: float,
     grid_bound: Optional[int],
     max_retries: int,
-) -> tuple[int, tuple[int, int]]:
+) -> tuple[int, tuple[int, int], list[int]]:
     """Move one uniformly chosen point in place by a discretized Gaussian offset.
 
     Draws the index, then the x and y offsets, clamps to the grid when
     ``grid_bound`` is given and redraws a move that changes nothing. A move
-    that breaks general position is undone in ``coords`` and ``signs`` and
-    redrawn, up to ``max_retries`` tries. Returns the moved index and its
-    old position; ``signs`` then holds the orientations of the new set.
+    that breaks general position is undone in ``coords`` and redrawn, up to
+    ``max_retries`` tries. Returns the moved index, its old position and
+    its :func:`~crossfam.chirotope.point_masks` at the new one.
     """
     for _ in range(max_retries):
         idx = rng.randrange(len(coords))
@@ -133,10 +138,10 @@ def _move(
         if (x, y) == old:
             continue
         coords[idx] = (x, y)
-        if update_point_signs(signs, coords, idx):
-            return idx, old
+        masks = point_masks(coords, idx)
+        if masks is not None:
+            return idx, old, masks
         coords[idx] = old
-        update_point_signs(signs, coords, idx)
     raise RetryExhaustedError(f"no general-position move found in {max_retries} tries")
 
 
@@ -160,8 +165,7 @@ def perturb(
     coords = [(int(p.x), int(p.y)) for p in S]
     if PointSet.from_coords(coords) != S:
         raise ValueError("perturbation requires integer coordinates")
-    scratch = [0] * len(coords) ** 3  # only the general-position verdict is read
-    _move(coords, scratch, rng, sigma, grid_bound, max_retries)
+    _move(coords, rng, sigma, grid_bound, max_retries)
     return PointSet.from_coords(coords)
 
 
@@ -209,12 +213,13 @@ def anneal(
     if PointSet.from_coords(coords) != initial:
         raise ValueError("initial set must have integer coordinates")
     try:
-        signs = orientation_table(coords)
+        left = side_masks(coords)
     except NotGeneralPositionError:
         raise ValueError("initial set must be in general position") from None
 
     rng = random.Random(cfg.seed)
-    adj = crossing_rows(signs, cfg.n)
+    n = cfg.n
+    adj = crossing_rows(left, n)
 
     current_obj = _count_cliques(adj, cfg.k)
     best = list(coords)
@@ -233,17 +238,18 @@ def anneal(
             for iteration in range(1, cfg.iterations + 1):
                 temperature *= cfg.cooling_rate
                 pending = coords.copy()
-                saved_signs = signs.copy()
-                moved, old_point = _move(
-                    coords, signs, rng, cfg.step_sigma, cfg.grid_bound, _MAX_RETRIES
+                moved, old_point, masks = _move(
+                    coords, rng, cfg.step_sigma, cfg.grid_bound, _MAX_RETRIES
                 )
-                if signs == saved_signs:
-                    # same orientations: same crossing graph, same objective
+                if masks == left[moved * n:moved * n + n]:
+                    # same side masks: same crossing graph, same objective
                     delta = 0
                 else:
+                    saved_left = left.copy()
+                    update_point_masks(left, moved, masks)
                     saved_rows = adj.copy()
-                    refresh_point_rows(adj, signs, cfg.n, moved)
-                    delta = _objective_delta(saved_rows, adj, cfg.n, moved, cfg.k)
+                    refresh_point_rows(adj, left, n, moved)
+                    delta = _objective_delta(saved_rows, adj, n, moved, cfg.k)
                 improved = False
                 if delta <= 0 or (
                     temperature > 0
@@ -256,7 +262,7 @@ def anneal(
                         improved = True
                 else:
                     coords[moved] = old_point
-                    signs = saved_signs
+                    left = saved_left
                     adj = saved_rows
 
                 trace.append((iteration, temperature, current_obj, best_obj))
@@ -265,8 +271,8 @@ def anneal(
                     on_improve(iteration, best_obj)
 
                 if iteration % _CHECK_INTERVAL == 0 and (
-                    signs != orientation_table(coords)
-                    or adj != crossing_rows(signs, cfg.n)
+                    left != side_masks(coords)
+                    or adj != crossing_rows(left, n)
                     or current_obj != _count_cliques(adj, cfg.k)
                 ):
                     raise AssertionError("incremental crossing-graph or objective update drifted")

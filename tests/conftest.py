@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from crossfam.geometry import PointSet
+from crossfam.geometry import PointSet, all_segments, segments_cross
 from crossfam.search import random_general_position
 
 
@@ -13,6 +14,17 @@ def rng():
 
 def random_pointset(rng: random.Random, n: int, bound: int = 50) -> PointSet:
     return random_general_position(n, rng, bound)
+
+
+def pairwise_rows(S: PointSet) -> list[int]:
+    """Crossing rows from the pairwise predicate, an oracle independent of the kernel."""
+    segs = all_segments(len(S))
+    rows = [0] * len(segs)
+    for i, j in combinations(range(len(segs)), 2):
+        if segments_cross(S, segs[i], segs[j]):
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
 
 
 # 9-point configuration with no 3-crossing family, recovered by the bundled

@@ -7,38 +7,21 @@ from hypothesis import strategies as st
 
 from crossfam.chirotope import (
     crossing_rows,
-    orientation_table,
+    point_masks,
     refresh_point_rows,
     side_masks,
-    triple_sign,
-    update_point_signs,
+    update_point_masks,
 )
 from crossfam.crossing import build_crossing_graph
 from crossfam.errors import NotGeneralPositionError
-from crossfam.geometry import (
-    PointSet,
-    _collinear_triple,
-    all_segments,
-    orientation,
-    segments_cross,
-)
-from conftest import random_pointset
+from crossfam.geometry import PointSet, _collinear_triple, orientation
+from conftest import pairwise_rows, random_pointset
 
 # The small grid makes collinear triples and repeated points common; the
 # large one mostly yields sets in general position.
 small_sets = st.sampled_from([6, 10_000]).flatmap(lambda r: st.lists(
     st.tuples(st.integers(-r, r), st.integers(-r, r)), min_size=2, max_size=12
 ))
-
-
-def pairwise_rows(S: PointSet) -> list[int]:
-    segs = all_segments(len(S))
-    rows = [0] * len(segs)
-    for i, j in combinations(range(len(segs)), 2):
-        if segments_cross(S, segs[i], segs[j]):
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -52,6 +35,17 @@ def test_graph_matches_pairwise_predicate(coords):
         assert str(exc.value) == f"points {bad} are collinear"
         return
     assert list(build_crossing_graph(S).adjacency) == pairwise_rows(S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10_000, 10_000), st.integers(-10_000, 10_000)),
+                min_size=2, max_size=10))
+def test_rows_from_masks_match_pairwise_predicate(coords):
+    try:
+        left = side_masks(coords)
+    except NotGeneralPositionError:
+        return
+    assert crossing_rows(left, len(coords)) == pairwise_rows(PointSet.from_coords(coords))
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,41 +72,69 @@ def test_side_masks_match_direct_orientation(coords):
             assert left[a * n + b] == expected, (a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_sets, st.data())
+def test_point_masks_match_direct_orientation(coords, data):
+    n = len(coords)
+    p = data.draw(st.integers(0, n - 1))
+    S = PointSet.from_coords(coords)
+    others = [b for b in range(n) if b != p]
+    degenerate = any(coords[b] == coords[p] for b in others) or any(
+        orientation(S[p], S[b], S[c]) == 0 for b, c in combinations(others, 2)
+    )
+    masks = point_masks(coords, p)
+    if degenerate:
+        assert masks is None
+        return
+    assert masks == [sum(1 << c for c in others if c != b and orientation(S[p], S[b], S[c]) > 0)
+                    if b != p else 0 for b in range(n)]
+
+
 def test_table_holds_sorted_triple_orientations(rng):
     S = random_pointset(rng, 9)
-    coords = [(p.x, p.y) for p in S]
-    table = orientation_table(coords)
-    assert len(table) == 9 ** 3
+    left = side_masks([(p.x, p.y) for p in S])
+    assert len(left) == 9 ** 2
     for a, b, c in combinations(range(9), 3):
-        assert triple_sign(table, 9, a, b, c) == orientation(S[a], S[b], S[c])
+        assert (left[a * 9 + b] >> c & 1) == (orientation(S[a], S[b], S[c]) > 0)
 
 
 @pytest.mark.parametrize("n", [4, 7, 11])
 def test_moved_point_updates_match_full_rebuild(n):
     rng = random.Random(n)
     coords = [(p.x, p.y) for p in random_pointset(rng, n, bound=40)]
-    table = orientation_table(coords)
-    rows = crossing_rows(table, n)
+    left = side_masks(coords)
+    rows = crossing_rows(left, n)
     moves = 0
     while moves < 30:
         p = rng.randrange(n)
         old = coords[p]
         coords[p] = (rng.randint(-40, 40), rng.randint(-40, 40))
-        if not update_point_signs(table, coords, p):
+        masks = point_masks(coords, p)
+        if masks is None:
             coords[p] = old
-            assert update_point_signs(table, coords, p)
-            assert table == orientation_table(coords)
+            assert left == side_masks(coords)
             continue
-        refresh_point_rows(rows, table, n, p)
-        assert table == orientation_table(coords)
-        assert rows == crossing_rows(table, n)
+        update_point_masks(left, p, masks)
+        refresh_point_rows(rows, left, n, p)
+        assert left == side_masks(coords)
+        assert rows == crossing_rows(left, n)
         assert rows == pairwise_rows(PointSet.from_coords(coords))
         moves += 1
 
 
+def test_failed_update_leaves_masks_restorable():
+    coords = [(0, 0), (4, 1), (1, 5), (-3, 2), (2, -4)]
+    left = side_masks(coords)
+    before = left.copy()
+    coords[1] = (2, 10)  # collinear with (0, 0) and (1, 5)
+    assert point_masks(coords, 1) is None
+    coords[1] = (4, 1)
+    update_point_masks(left, 1, point_masks(coords, 1))
+    assert left == before
+
+
 def test_update_rejects_coincident_points():
     coords = [(0, 0), (3, 1)]
-    table = [0] * 8
-    assert update_point_signs(table, coords, 1)
+    assert point_masks(coords, 1) == [0, 0]
     coords[1] = (0, 0)
-    assert not update_point_signs(table, coords, 1)
+    assert point_masks(coords, 1) is None

@@ -129,6 +129,17 @@ class TestBoundKnown:
         payload = json.loads(out)
         assert payload["bound"] == 5
 
+    @pytest.mark.parametrize("n, entry, source", [
+        (1, None, None),
+        (9, [2, 9], "bundled set n9_cf2"),
+        (24, [5, 25], "no source recorded in this repository"),
+        (41, [8, 41], "arXiv:2109.10705"),
+    ])
+    def test_bound_json_names_the_source(self, capsys, n, entry, source):
+        code, out, _ = run(capsys, "bound", str(n), "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["entry"] == entry and payload["source"] == source
+
     def test_known_exact(self, capsys):
         code, out, _ = run(capsys, "known", "12")
         assert code == 0 and out.strip() == "cf(12) = 3"

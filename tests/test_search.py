@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossfam import search
-from crossfam.chirotope import crossing_rows, orientation_table, refresh_point_rows
+from crossfam.chirotope import crossing_rows, refresh_point_rows, side_masks, update_point_masks
 from crossfam.crossing import _count_cliques, count_k_families, max_crossing_family
 from crossfam.errors import NotGeneralPositionError, RetryExhaustedError
 from crossfam.geometry import (
@@ -26,6 +26,7 @@ from crossfam.search import (
     random_general_position,
     seed_by_doubling,
 )
+from conftest import pairwise_rows
 
 
 class TestSearchConfig:
@@ -134,6 +135,13 @@ class TestPerturb:
         record = getattr(self, case)()
         assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
+    def test_two_points_never_coincide(self):
+        rng = random.Random(0)
+        S = PointSet.from_coords([(0, 0), (1, 0)])
+        for _ in range(200):
+            S = perturb(S, 1.0, rng, grid_bound=1)
+            assert S[0] != S[1]
+
     def test_retry_exhaustion_on_tiny_grid(self):
         # ten distinct points cannot fit the nine cells of a [-1, 1]^2 grid
         with pytest.raises(RetryExhaustedError):
@@ -230,6 +238,22 @@ class TestAnneal:
         assert count_k_families(state.current, cfg.k) == state.trace[-1][2]
         assert count_k_families(state.best, cfg.k) == state.best_objective
 
+    def test_drift_guard_on_every_iteration(self, monkeypatch):
+        cfg = SearchConfig(n=12, k=3, seed=4, iterations=300)
+        initial = random_general_position(12, random.Random(4), cfg.grid_bound)
+        unguarded = anneal(cfg, initial)
+        rebuilds = 0
+
+        def counted_side_masks(coords):
+            nonlocal rebuilds
+            rebuilds += 1
+            return side_masks(coords)
+
+        monkeypatch.setattr(search, "_CHECK_INTERVAL", 1)
+        monkeypatch.setattr(search, "side_masks", counted_side_masks)
+        assert anneal(cfg, initial) == unguarded
+        assert rebuilds == len(unguarded.trace)  # once at the start, then every iteration
+
     # SHA-256 of (initial, trace, best, current, best objective) for fixed
     # seeds: changes to the incremental updates must keep every run
     # bit-identical. 5000 iterations pass the drift guard at 4096.
@@ -258,15 +282,18 @@ grid_sets = st.lists(
 @given(grid_sets, st.integers(2, 4), st.integers(0, 2 ** 32))
 def test_objective_delta_matches_full_recount(coords, k, seed):
     try:
-        signs = orientation_table(coords)
+        left = side_masks(coords)
     except NotGeneralPositionError:
         assume(False)
     n = len(coords)
-    old_rows = crossing_rows(signs, n)
+    old_rows = crossing_rows(left, n)
     new_rows = old_rows.copy()
-    moved, _ = _move(coords, signs, random.Random(seed), 8.0, 30, 100)
-    refresh_point_rows(new_rows, signs, n, moved)
-    assert new_rows == crossing_rows(orientation_table(coords), n)
+    moved, _, masks = _move(coords, random.Random(seed), 8.0, 30, 100)
+    update_point_masks(left, moved, masks)
+    assert left == side_masks(coords)
+    refresh_point_rows(new_rows, left, n, moved)
+    assert new_rows == crossing_rows(left, n)
+    assert new_rows == pairwise_rows(PointSet.from_coords(coords))
     assert _objective_delta(old_rows, new_rows, n, moved, k) \
         == _count_cliques(new_rows, k) - _count_cliques(old_rows, k)
 
