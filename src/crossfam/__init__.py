@@ -51,7 +51,6 @@ from .replication import (
     ReplicationCertificate,
     choose_epsilon,
     contract_family,
-    replicate,
     replicate_certified,
     verify_cluster_isolation,
     verify_copy_order,

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .chirotope import crossing_rows, side_masks
-from .errors import SizeLimitError
+from .errors import InvalidSegmentError, SizeLimitError
 from .geometry import (
     PointSet,
     Segment,
@@ -287,8 +287,12 @@ def brute_force_cf(S: PointSet) -> int:
 
 
 def is_crossing_family(S: PointSet, family: Sequence[Segment]) -> bool:
-    """True iff the segments pairwise cross in their interiors."""
+    """True iff the segments pairwise cross in their interiors; every index must be in ``S``."""
     members = list(family)
+    n = len(S)
+    bad = [i for s in members for i in (s.a, s.b) if not 0 <= i < n]
+    if bad:
+        raise InvalidSegmentError(f"point index {bad[0]} out of range for {n} points")
     if len(set(members)) != len(members):
         return False
     return all(segments_cross(S, s, t) for s, t in combinations(members, 2))

@@ -113,7 +113,10 @@ def write_atomic(out, chunks: Iterable[bytes]) -> None:
         return
     path = Path(os.path.realpath(out))
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    sink = open(tmp, "xb")
+    try:
+        sink = open(tmp, "xb")
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(out)) from None
     try:
         with sink:
             for chunk in chunks:

@@ -16,6 +16,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Union
 
+from .chirotope import side_masks
 from .errors import InvalidSegmentError, NotGeneralPositionError
 
 Coord = Union[int, Fraction]
@@ -125,23 +126,12 @@ def segments_cross(S: PointSet, s1: Segment, s2: Segment) -> bool:
 
 
 def is_general_position(S: PointSet) -> bool:
-    """True iff no three points are collinear (vacuously true for n < 3)."""
-    coords = integer_coordinates(S)
-    return _collinear_triple(coords) is None
-
-
-def _collinear_triple(coords: list[tuple[int, int]]) -> tuple[int, int, int] | None:
-    """First collinear index triple of an integer coordinate list, else None."""
-    n = len(coords)
-    for a in range(n - 2):
-        ax, ay = coords[a]
-        for b in range(a + 1, n - 1):
-            ux = coords[b][0] - ax
-            uy = coords[b][1] - ay
-            for c in range(b + 1, n):
-                if ux * (coords[c][1] - ay) == uy * (coords[c][0] - ax):
-                    return (a, b, c)
-    return None
+    """True iff no three points are collinear (vacuously true for n < 3), by the kernel."""
+    try:
+        side_masks(integer_coordinates(S))
+    except NotGeneralPositionError:
+        return False
+    return True
 
 
 def has_distinct_coordinates(S: PointSet) -> bool:

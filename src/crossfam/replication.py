@@ -80,7 +80,12 @@ class ReplicationCertificate:
         return self.cluster_isolation_ok and self.copy_order_ok
 
 
-def _check_replication_input(S: PointSet) -> None:
+def _check_replication_input(S: PointSet, m: int, epsilon: Optional[Coord]) -> None:
+    """Reject a copy count, a given spacing or a source set unfit for replication."""
+    if m < 1:
+        raise ValueError("copy count must be at least 1")
+    if epsilon is not None and Fraction(epsilon) <= 0:
+        raise ValueError("epsilon must be positive")
     if not is_general_position(S):
         raise NotGeneralPositionError("source set must be in general position")
     if not has_distinct_coordinates(S):
@@ -105,34 +110,15 @@ def _copy_counts(n: int, m: int, total: Optional[int]) -> list[int]:
     return [m - rounds - (src >= n - extra) for src in range(n)]
 
 
-def replicate(
-    S: PointSet, m: int, epsilon: Coord, total: Optional[int] = None
-) -> tuple[PointSet, CopyMap]:
-    """Replace each point by ``m`` copies spaced ``epsilon`` apart on a parabolic arc.
-
-    The result must again be in general position with pairwise-distinct
-    coordinates; otherwise the spacing is rejected with
-    :class:`DegenerateEpsilonError`. The spacing is *not* required to pass
-    the two certification checks -- run the verifiers or use
-    :func:`replicate_certified` for that.
-
-    ``total`` optionally trims the output to exactly that many points by
-    dropping the highest copy numbers of the last source points.
-    """
-    S2, cmap, _ = _replicate(S, m, epsilon, total)
-    return S2, cmap
-
-
-def _replicate(
+def _replica(
     S: PointSet, m: int, epsilon: Coord, total: Optional[int]
-) -> tuple[PointSet, CopyMap, list[int]]:
-    """:func:`replicate`, also returning the replica's side masks."""
-    if m < 1:
-        raise ValueError("copy count must be at least 1")
+) -> tuple[PointSet, CopyMap, ReplicationCertificate]:
+    """Replicate a checked source and certify the replica from one side-mask pass.
+
+    A spacing that breaks general position or coordinate distinctness
+    raises :class:`DegenerateEpsilonError`.
+    """
     eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    _check_replication_input(S)
     counts = _copy_counts(len(S), m, total)
     points: list[Point] = []
     entries: list[tuple[int, int]] = []
@@ -150,7 +136,15 @@ def _replicate(
         raise DegenerateEpsilonError(
             f"epsilon {eps} makes points {exc.triple} collinear"
         ) from None
-    return out, CopyMap(tuple(entries), len(S)), left
+    cmap = CopyMap(tuple(entries), len(S))
+    cert = ReplicationCertificate(
+        epsilon=epsilon,
+        m=m,
+        source_n=len(S),
+        cluster_isolation_ok=_cluster_isolation(left, cmap),
+        copy_order_ok=_copy_order(S, out, cmap, left),
+    )
+    return out, cmap, cert
 
 
 def verify_cluster_isolation(S2: PointSet, cmap: CopyMap) -> bool:
@@ -231,43 +225,36 @@ def choose_epsilon(S: PointSet, m: int) -> Coord:
     construction, and guaranteed to terminate because all sufficiently small
     spacings work.
     """
-    if m < 1:
-        raise ValueError("copy count must be at least 1")
-    _check_replication_input(S)
-    gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
-    gaps += [abs(p.y - q.y) for p, q in combinations(S, 2)]
-    eps = Fraction(min(gaps)) / (4 * m) if gaps else Fraction(1, 4 * m)
-    for _ in range(65):
-        try:
-            S2, cmap, left = _replicate(S, m, eps, None)
-        except DegenerateEpsilonError:
-            eps /= 2
-            continue
-        if _cluster_isolation(left, cmap) and _copy_order(S, S2, cmap, left):
-            return eps
-        eps /= 2
-    raise EpsilonSearchError(f"no certified spacing found for n={len(S)}, m={m}")
+    return replicate_certified(S, m)[2].epsilon
 
 
 def replicate_certified(
     S: PointSet, m: int, epsilon: Optional[Coord] = None, total: Optional[int] = None
 ) -> tuple[PointSet, CopyMap, ReplicationCertificate]:
-    """Replicate with a certificate; ``epsilon`` defaults to a certified spacing.
+    """Replace each point by ``m`` copies on a parabolic arc, with a certificate.
 
-    With an explicit ``epsilon`` the replica is still emitted when the
-    certification checks fail -- the certificate records the outcomes.
+    ``epsilon`` defaults to the spacing :func:`choose_epsilon` finds; an
+    explicit one is emitted even when the certification checks fail -- the
+    certificate records the outcomes. ``total`` optionally trims the output
+    to exactly that many points by dropping the highest copy numbers of the
+    last source points.
     """
-    if epsilon is None:
-        epsilon = choose_epsilon(S, m)
-    S2, cmap, left = _replicate(S, m, epsilon, total)
-    cert = ReplicationCertificate(
-        epsilon=epsilon,
-        m=m,
-        source_n=len(S),
-        cluster_isolation_ok=_cluster_isolation(left, cmap),
-        copy_order_ok=_copy_order(S, S2, cmap, left),
-    )
-    return S2, cmap, cert
+    _check_replication_input(S, m, epsilon)
+    if epsilon is not None:
+        return _replica(S, m, epsilon, total)
+    gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
+    gaps += [abs(p.y - q.y) for p, q in combinations(S, 2)]
+    eps = Fraction(min(gaps)) / (4 * m) if gaps else Fraction(1, 4 * m)
+    for _ in range(65):
+        try:
+            replica = _replica(S, m, eps, None)
+        except DegenerateEpsilonError:
+            eps /= 2
+            continue
+        if replica[2].certified:
+            return replica if total is None else _replica(S, m, eps, total)
+        eps /= 2
+    raise EpsilonSearchError(f"no certified spacing found for n={len(S)}, m={m}")
 
 
 def contract_family(

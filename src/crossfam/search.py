@@ -42,7 +42,7 @@ from .chirotope import (
 from .crossing import _count_cliques, _count_cliques_meeting, count_k_families
 from .errors import NotGeneralPositionError, RetryExhaustedError
 from .geometry import PointSet, normalize_coordinates
-from .replication import choose_epsilon, replicate
+from .replication import replicate_certified
 
 TraceRow = tuple[int, float, int, int]
 
@@ -299,14 +299,10 @@ def anneal(
 def seed_by_doubling(S: PointSet, m: int) -> PointSet:
     """Replicate ``S`` with a certified spacing as a low-objective search seed.
 
-    Normalizes coordinates, picks a certified spacing, and replicates; for
-    m = 1 this is just coordinate normalization. The result has rational
-    coordinates; scale with :func:`crossfam.geometry.to_integer_coordinates`
-    before feeding it to :func:`anneal`.
+    Normalizes coordinates and replicates with the spacing
+    :func:`crossfam.replication.replicate_certified` finds. The result has
+    rational coordinates; scale with
+    :func:`crossfam.geometry.to_integer_coordinates` before feeding it to
+    :func:`anneal`.
     """
-    S0 = normalize_coordinates(S)
-    if m == 1:
-        return S0
-    eps = choose_epsilon(S0, m)
-    S2, _ = replicate(S0, m, eps)
-    return S2
+    return replicate_certified(normalize_coordinates(S), m)[0]

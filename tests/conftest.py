@@ -27,6 +27,24 @@ def pairwise_rows(S: PointSet) -> list[int]:
     return rows
 
 
+def collinear_triple(coords) -> tuple[int, int, int] | None:
+    """First collinear index triple of exact coordinates, else None.
+
+    A pairwise loop independent of the kernel; coordinates may be integers
+    or fractions.
+    """
+    n = len(coords)
+    for a in range(n - 2):
+        ax, ay = coords[a]
+        for b in range(a + 1, n - 1):
+            ux = coords[b][0] - ax
+            uy = coords[b][1] - ay
+            for c in range(b + 1, n):
+                if ux * (coords[c][1] - ay) == uy * (coords[c][0] - ax):
+                    return (a, b, c)
+    return None
+
+
 # 9-point configuration with no 3-crossing family, recovered by the bundled
 # annealer and re-verified by both exact solvers at package time.
 NINE_POINT_CF2 = (

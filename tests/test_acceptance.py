@@ -26,7 +26,6 @@ from crossfam.geometry import (
 from crossfam.known import best_known_upper_bound, known_bounds
 from crossfam.replication import (
     contract_family,
-    replicate,
     replicate_certified,
     verify_cluster_isolation,
     verify_copy_order,

@@ -14,8 +14,8 @@ from crossfam.chirotope import (
 )
 from crossfam.crossing import build_crossing_graph
 from crossfam.errors import NotGeneralPositionError
-from crossfam.geometry import PointSet, _collinear_triple, orientation
-from conftest import pairwise_rows, random_pointset
+from crossfam.geometry import PointSet, orientation
+from conftest import collinear_triple, pairwise_rows, random_pointset
 
 # The small grid makes collinear triples and repeated points common; the
 # large one mostly yields sets in general position.
@@ -28,7 +28,7 @@ small_sets = st.sampled_from([6, 10_000]).flatmap(lambda r: st.lists(
 @given(small_sets)
 def test_graph_matches_pairwise_predicate(coords):
     S = PointSet.from_coords(coords)
-    bad = _collinear_triple(coords)
+    bad = collinear_triple(coords)
     if bad is not None:
         with pytest.raises(NotGeneralPositionError) as exc:
             build_crossing_graph(S)
@@ -51,7 +51,7 @@ def test_rows_from_masks_match_pairwise_predicate(coords):
 @settings(max_examples=150, deadline=None)
 @given(small_sets)
 def test_side_masks_match_direct_orientation(coords):
-    bad = _collinear_triple(coords)
+    bad = collinear_triple(coords)
     if bad is not None:
         with pytest.raises(NotGeneralPositionError) as exc:
             side_masks(coords)

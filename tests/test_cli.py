@@ -163,6 +163,12 @@ class TestBoundKnown:
 
 
 class TestEncodeVerify:
+    def test_missing_output_directory_names_the_target(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "e.cnf"
+        code, _, err = run(capsys, "encode", "--n", "4", "--k", "2", "-o", str(target))
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
     def test_encode_and_verify_model(self, capsys, tmp_path):
         cnf_path = tmp_path / "n9k3.cnf"
         code, out, _ = run(capsys, "encode", "--n", "9", "--k", "3",
@@ -299,6 +305,20 @@ class TestPlot:
                            "--witness", str(witness))
         assert code == 0 and err == ""
         assert out_path.read_text().count("<line") == 2
+
+    def test_witness_index_out_of_range_is_one_line_error(self, pentagon_file, tmp_path):
+        witness = tmp_path / "w.txt"
+        witness.write_text("k = 1\n0 7\n")
+        out_path = tmp_path / "plot.svg"
+        env = {**os.environ, "PYTHONPATH": str(Path(crossfam.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "crossfam", "plot", pentagon_file, "-o", str(out_path),
+             "--witness", str(witness)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: point index 7 out of range for 5 points\n"
+        assert not out_path.exists()
 
 
 class TestInterruptedOutputs:

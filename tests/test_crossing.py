@@ -17,7 +17,7 @@ from crossfam.crossing import (
     is_crossing_family,
     max_crossing_family,
 )
-from crossfam.errors import NotGeneralPositionError, SizeLimitError
+from crossfam.errors import InvalidSegmentError, NotGeneralPositionError, SizeLimitError
 from crossfam.geometry import PointSet, Segment, convex_position_points, segments_cross
 from conftest import random_pointset
 
@@ -108,6 +108,23 @@ class TestMaxCrossingFamily:
     def test_deterministic_witness(self, rng):
         S = random_pointset(rng, 9)
         assert max_crossing_family(S) == max_crossing_family(S)
+
+
+class TestIsCrossingFamily:
+    @pytest.mark.parametrize("family, bad", [
+        ([Segment(0, 7)], 7),
+        ([Segment(-1, 3)], -1),
+        ([Segment(0, 2), Segment(1, 7)], 7),
+    ])
+    def test_index_out_of_range_rejected(self, family, bad):
+        with pytest.raises(InvalidSegmentError) as exc:
+            is_crossing_family(convex_position_points(5), family)
+        assert str(exc.value) == f"point index {bad} out of range for 5 points"
+
+    def test_small_families_in_range(self):
+        S = convex_position_points(5)
+        assert is_crossing_family(S, [])
+        assert is_crossing_family(S, [Segment(0, 4)])
 
 
 def _gp(S):

@@ -65,6 +65,13 @@ class TestWriteAtomic:
             save_text(tmp_path / "missing" / "out.txt", "x")
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as exc:
+            write_atomic(target, [b"x"])
+        assert exc.value.filename == str(target)
+        assert str(target) in str(exc.value) and ".tmp" not in str(exc.value)
+
 
 class TestPointsetFormat:
     def test_round_trip_integers(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossfam.errors import InvalidSegmentError, NotGeneralPositionError
@@ -21,7 +21,7 @@ from crossfam.geometry import (
     segments_cross,
     to_integer_coordinates,
 )
-from conftest import random_pointset
+from conftest import collinear_triple, random_pointset
 
 
 def P(x, y):
@@ -121,6 +121,21 @@ class TestGeneralPosition:
     def test_small_sets_vacuous(self):
         assert is_general_position(PointSet.from_coords([(0, 0), (5, 5)]))
         assert is_general_position(PointSet.from_coords([]))
+
+    # Small ranges make coincident points and collinear triples common.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.integers(-4, 4), st.fractions(-2, 2, max_denominator=4)),
+                              st.one_of(st.integers(-4, 4), st.fractions(-2, 2, max_denominator=4))),
+                    max_size=9))
+    @example([])
+    @example([(1, 1)])
+    @example([(1, 1), (1, 1)])
+    @example([(0, 0), (3, 1), (0, 0)])
+    @example([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (Fraction(3, 2), Fraction(2, 3))])
+    @example([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (Fraction(3, 2), Fraction(3, 4))])
+    def test_agrees_with_pairwise_oracle(self, coords):
+        expected = collinear_triple(coords) is None
+        assert is_general_position(PointSet.from_coords(coords)) == expected
 
 
 class TestNormalizeCoordinates:

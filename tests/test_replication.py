@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfam import replication
+from crossfam.chirotope import side_masks
 from crossfam.crossing import max_crossing_family
 from crossfam.errors import (
     DegenerateEpsilonError,
+    NotGeneralPositionError,
     SameSourceSegmentError,
 )
 from crossfam.geometry import (
@@ -27,7 +30,6 @@ from crossfam.replication import (
     CopyMap,
     choose_epsilon,
     contract_family,
-    replicate,
     replicate_certified,
     verify_cluster_isolation,
     verify_copy_order,
@@ -43,14 +45,14 @@ TRIANGLE = PointSet.from_coords([(0, 0), (4, 1), (1, 4)])
 class TestReplicate:
     def test_m1_is_identity(self):
         S = convex_position_points(4)
-        S2, cmap = replicate(S, 1, Fraction(1, 7))
+        S2, cmap, _ = replicate_certified(S, 1, Fraction(1, 7))
         assert S2 == S
         assert cmap.entries == ((0, 0), (1, 0), (2, 0), (3, 0))
 
     def test_copy_positions_on_parabolic_arc(self):
         S = PointSet.from_coords([(0, 0), (10, 3)])
         eps = Fraction(1, 8)
-        S2, cmap = replicate(S, 3, eps)
+        S2, cmap, _ = replicate_certified(S, 3, eps)
         assert len(S2) == 6
         for idx, (src, i) in enumerate(cmap.entries):
             assert S2[idx].x == S[src].x + i * eps
@@ -73,16 +75,16 @@ class TestReplicate:
         # with copy 0 of the right point
         S = PointSet.from_coords([(0, 0), (1, 3)])
         with pytest.raises(DegenerateEpsilonError):
-            replicate(S, 2, 1)
+            replicate_certified(S, 2, 1)
 
     def test_requires_distinct_coordinates(self):
         S = PointSet.from_coords([(0, 0), (0, 2), (2, 1)])
         with pytest.raises(ValueError):
-            replicate(S, 2, Fraction(1, 100))
+            replicate_certified(S, 2, Fraction(1, 100))
 
     def test_total_drops_highest_copies_of_last_sources(self):
         S = normalize_coordinates(convex_position_points(4))
-        S2, cmap = replicate(S, 3, Fraction(1, 64), total=10)
+        S2, cmap, _ = replicate_certified(S, 3, Fraction(1, 64), total=10)
         assert len(S2) == 10
         per_source = [0, 0, 0, 0]
         for src, copy in cmap.entries:
@@ -92,7 +94,7 @@ class TestReplicate:
 
     def test_copies_in_convex_position_on_arc(self):
         S = PointSet.from_coords([(0, 0), (100, 57)])
-        S2, cmap = replicate(S, 4, Fraction(1, 16))
+        S2, cmap, _ = replicate_certified(S, 4, Fraction(1, 16))
         for src in range(2):
             ids = cmap.copies_of(src)
             for a, b, c in zip(ids, ids[1:], ids[2:]):
@@ -102,25 +104,25 @@ class TestReplicate:
 class TestVerifiers:
     def test_m1_vacuous(self):
         S = convex_position_points(5)
-        S2, cmap = replicate(S, 1, Fraction(1, 2))
+        S2, cmap, _ = replicate_certified(S, 1, Fraction(1, 2))
         assert verify_cluster_isolation(S2, cmap)
         assert verify_copy_order(S, S2, cmap)
 
     def test_certified_output_passes(self):
         S = TRIANGLE
         eps = choose_epsilon(S, 2)
-        S2, cmap = replicate(S, 2, eps)
+        S2, cmap, _ = replicate_certified(S, 2, eps)
         assert verify_cluster_isolation(S2, cmap)
         assert verify_copy_order(S, S2, cmap)
 
     def test_coarse_sweep_finds_isolation_failure(self):
         # frozen from a sweep over multiples of 1/8 on the triangle fixture
-        S2, cmap = replicate(TRIANGLE, 2, Fraction(15, 8))
+        S2, cmap, _ = replicate_certified(TRIANGLE, 2, Fraction(15, 8))
         assert not verify_cluster_isolation(S2, cmap)
 
     def test_coarse_sweep_finds_copy_order_failure(self):
         # half the minimum point spacing
-        S2, cmap = replicate(TRIANGLE, 2, Fraction(1, 2))
+        S2, cmap, _ = replicate_certified(TRIANGLE, 2, Fraction(1, 2))
         assert not verify_copy_order(TRIANGLE, S2, cmap)
 
     def test_failures_exist_on_coarse_grid(self):
@@ -128,7 +130,7 @@ class TestVerifiers:
         for num in range(1, 40):
             eps = Fraction(num, 8)
             try:
-                S2, cmap = replicate(TRIANGLE, 2, eps)
+                S2, cmap, _ = replicate_certified(TRIANGLE, 2, eps)
             except DegenerateEpsilonError:
                 continue
             found_s1 = found_s1 or not verify_cluster_isolation(S2, cmap)
@@ -201,7 +203,7 @@ class TestVerifiersAgainstPairwiseReference:
     def test_verifiers_agree(self, seed):
         S, m, eps, total = replication_case(seed)
         try:
-            S2, cmap = replicate(S, m, eps, total)
+            S2, cmap, _ = replicate_certified(S, m, eps, total)
         except DegenerateEpsilonError:
             return
         isolation = reference_cluster_isolation(S2, cmap)
@@ -224,7 +226,7 @@ class TestVerifiersAgainstPairwiseReference:
         for seed in range(200):
             S, m, eps, total = replication_case(seed)
             try:
-                S2, cmap = replicate(S, m, eps, total)
+                S2, cmap, _ = replicate_certified(S, m, eps, total)
             except DegenerateEpsilonError:
                 continue
             outcome = (reference_cluster_isolation(S2, cmap), reference_copy_order(S, S2, cmap))
@@ -249,6 +251,28 @@ def test_golden_epsilon_of_bundled_sets(name):
     assert tuple(str(choose_epsilon(S, m)) for m in (2, 3, 4)) == GOLDEN_EPSILON[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_EPSILON))
+@pytest.mark.parametrize("m", [2, 3])
+def test_searched_spacing_builds_no_extra_replica(monkeypatch, name, m):
+    # replicate_certified returns the replica its spacing search certified
+    S = normalize_coordinates(load_bundled(name)[0])
+    passes = []
+
+    def counted_side_masks(coords):
+        passes.append(tuple(coords))
+        return side_masks(coords)
+
+    monkeypatch.setattr(replication, "side_masks", counted_side_masks)
+    eps = choose_epsilon(S, m)
+    searched = len(passes)
+    passes.clear()
+    S2, cmap, cert = replicate_certified(S, m)
+    assert len(passes) <= searched
+    assert len(set(passes)) == len(passes)  # no replica is built twice
+    assert cert.epsilon == eps and cert.certified
+    assert (S2, cmap) == replicate_certified(S, m, eps)[:2]
+
+
 QUAD = PointSet.from_coords([(0, 0), (7, 2), (3, 9), (10, 5)])
 
 
@@ -263,9 +287,6 @@ QUAD = PointSet.from_coords([(0, 0), (7, 2), (3, 9), (10, 5)])
 ])
 def test_degenerate_epsilon_message(S, m, eps, message):
     with pytest.raises(DegenerateEpsilonError) as exc:
-        replicate(S, m, eps)
-    assert str(exc.value) == message
-    with pytest.raises(DegenerateEpsilonError) as exc:
         replicate_certified(S, m, eps)
     assert str(exc.value) == message
 
@@ -274,14 +295,14 @@ class TestChooseEpsilon:
     def test_two_points(self):
         S = PointSet.from_coords([(0, 0), (10, 10)])
         eps = choose_epsilon(S, 2)
-        S2, cmap = replicate(S, 2, eps)
+        S2, cmap, _ = replicate_certified(S, 2, eps)
         assert verify_cluster_isolation(S2, cmap)
         assert verify_copy_order(S, S2, cmap)
 
     def test_single_point(self):
         S = PointSet.from_coords([(3, 7)])
         eps = choose_epsilon(S, 3)
-        S2, cmap = replicate(S, 3, eps)
+        S2, cmap, _ = replicate_certified(S, 3, eps)
         assert len(S2) == 3
         assert is_general_position(S2) and has_distinct_coordinates(S2)
 
@@ -289,11 +310,24 @@ class TestChooseEpsilon:
         S = convex_position_points(5)
         assert choose_epsilon(S, 2) == choose_epsilon(S, 2)
 
+    @pytest.mark.parametrize("S,m,error,message", [
+        (convex_position_points(4), 0, ValueError, "copy count must be at least 1"),
+        (PointSet.from_coords([(0, 0), (1, 1), (2, 2)]), 2, NotGeneralPositionError,
+         "source set must be in general position"),
+        (PointSet.from_coords([(0, 0), (0, 2), (2, 1)]), 2, ValueError,
+         "source coordinates must be pairwise distinct"),
+    ])
+    def test_source_checked_before_the_search(self, S, m, error, message):
+        for search in (lambda: choose_epsilon(S, m), lambda: replicate_certified(S, m)):
+            with pytest.raises(error) as exc:
+                search()
+            assert str(exc.value).startswith(message)
+
     @pytest.mark.parametrize("n,m", [(4, 2), (5, 2), (3, 3)])
     def test_random_sets_certifiable(self, rng, n, m):
         S = normalize_coordinates(random_pointset(rng, n))
         eps = choose_epsilon(S, m)
-        S2, cmap = replicate(S, m, eps)
+        S2, cmap, _ = replicate_certified(S, m, eps)
         assert verify_cluster_isolation(S2, cmap)
         assert verify_copy_order(S, S2, cmap)
 
@@ -301,18 +335,18 @@ class TestChooseEpsilon:
 class TestContractFamily:
     def test_empty(self):
         S = convex_position_points(4)
-        S2, cmap = replicate(S, 2, choose_epsilon(S, 2))
+        S2, cmap, _ = replicate_certified(S, 2, choose_epsilon(S, 2))
         assert contract_family(S2, cmap, []) == ()
 
     def test_m1_renaming(self):
         S = convex_position_points(4)
-        S2, cmap = replicate(S, 1, Fraction(1, 2))
+        S2, cmap, _ = replicate_certified(S, 1, Fraction(1, 2))
         fam = (Segment(0, 2), Segment(1, 3))
         assert contract_family(S2, cmap, fam) == fam
 
     def test_same_source_segment_rejected(self):
         S = convex_position_points(4)
-        S2, cmap = replicate(S, 2, choose_epsilon(S, 2))
+        S2, cmap, _ = replicate_certified(S, 2, choose_epsilon(S, 2))
         first_cluster = cmap.copies_of(0)
         with pytest.raises(SameSourceSegmentError):
             contract_family(S2, cmap, [Segment(first_cluster[0], first_cluster[1])])

@@ -10,6 +10,7 @@ from crossfam import search
 from crossfam.chirotope import crossing_rows, refresh_point_rows, side_masks, update_point_masks
 from crossfam.crossing import _count_cliques, count_k_families, max_crossing_family
 from crossfam.errors import NotGeneralPositionError, RetryExhaustedError
+from crossfam.formats import format_pointset
 from crossfam.geometry import (
     PointSet,
     convex_position_points,
@@ -26,6 +27,7 @@ from crossfam.search import (
     random_general_position,
     seed_by_doubling,
 )
+from crossfam.store import bundled_names, load_bundled
 from conftest import pairwise_rows
 
 
@@ -299,6 +301,27 @@ def test_objective_delta_matches_full_recount(coords, k, seed):
 
 
 class TestSeedByDoubling:
+    #: SHA-256 of format_pointset(seed_by_doubling(S, m)) for m = 1, 2, 3
+    GOLDEN = {
+        "n4_cf1": ("2f4cddbb9392796f39d4ed8c5c5f2cd172ecf30be48d28c29fa8686af2451717",
+                   "0cc1c94f88698485f11fdb608a7e7f53d228206e65061b0ca4b24705b6ea55ce",
+                   "a0ef715c2820f7c1772cc00511c0da75f71a64e06bf10c82589057dd43d5c2dd"),
+        "n9_cf2": ("8e981306f052e45db71ffd85a2506f0763d557bcf548094fe194c2db54f71d50",
+                   "0d4ba888747cbcf14edf47c1d0c030a06b76afdce128cd9a4e3d51dbaf810410",
+                   "58db69bfb02f5eaa25fb0bbbaa22525beca0976291849fcde8027a7f6c14521b"),
+        "n14_cf3": ("4ea8a94dabf2fbe41a10ef04622ee1454e94b90289bc56c416c36035a0f7d04f",
+                    "abed816a034ce87037aff7608268f8848ba87a424d0d194a40b2cc5f3daa0eab",
+                    "761f5cce09be155e978d96bab4807acb469cf88240ce0ce1259d4a40768988a0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bundled_seeds(self, name):
+        assert set(self.GOLDEN) == set(bundled_names())
+        S = load_bundled(name)[0]
+        digests = tuple(hashlib.sha256(format_pointset(seed_by_doubling(S, m)).encode()).hexdigest()
+                        for m in (1, 2, 3))
+        assert digests == self.GOLDEN[name]
+
     def test_m1_is_normalization(self):
         S = PointSet.from_coords([(0, 0), (0, 2), (2, 1)])
         assert seed_by_doubling(S, 1) == normalize_coordinates(S)
