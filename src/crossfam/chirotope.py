@@ -2,6 +2,8 @@
 
 Every orientation and crossing question the solvers, the annealer, the
 replication certificate and the CNF assignment ask is answered from here.
+A point set reaches it only through ``PointSet.side_masks``, which keeps
+its table; the annealer alone keeps a list of its own, rewritten as points move.
 For integer coordinates of n points the table is a flat list of n^2
 bitsets over points: entry ``a*n + b`` (a != b) holds the points c with
 orient(a, b, c) > 0, the points left of the directed line a -> b, and the
@@ -22,7 +24,7 @@ ab. Rows are bitsets over segments in lexicographic order, the order of
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import NotGeneralPositionError
 
@@ -147,7 +149,7 @@ def _row_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(o + 1 for o in _segment_offsets(n)))
 
 
-def _crossing_row(left: list[int], n: int, a: int, b: int) -> int:
+def _crossing_row(left: Sequence[int], n: int, a: int, b: int) -> int:
     """Bitset of the segments crossing segment (a, b), a < b."""
     above, shift = _row_layout(n)
     an = a * n
@@ -165,7 +167,7 @@ def _crossing_row(left: list[int], n: int, a: int, b: int) -> int:
     return row >> 1
 
 
-def crossing_rows(left: list[int], n: int) -> list[int]:
+def crossing_rows(left: Sequence[int], n: int) -> list[int]:
     """Adjacency bitsets of the crossing graph over all C(n, 2) segments."""
     return [_crossing_row(left, n, a, b) for a in range(n - 1) for b in range(a + 1, n)]
 

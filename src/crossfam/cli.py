@@ -47,21 +47,20 @@ def _cmd_cf(args) -> int:
     S = load_pointset(args.pointset)
     graph = build_crossing_graph(S)
     solver = CliqueSearch(graph.adjacency)
+    status = 0
     try:
         size, vertices = solver.run()
     except KeyboardInterrupt:
         size, vertices = solver.best_size, solver.best
         print(f"interrupted; best found so far: {size}", file=sys.stderr)
-        family = [graph.segments[v] for v in vertices]
-        sys.stdout.write(formats.format_witness(size, family))
-        return 130
+        status = 130
     family = [graph.segments[v] for v in vertices]
     if args.json:
         _emit_json({"command": "cf", "n": len(S), "k": size,
                     "witness": [[s.a, s.b] for s in family]})
     else:
         sys.stdout.write(formats.format_witness(size, family))
-    return 0
+    return status
 
 
 def _cmd_decide(args) -> int:

@@ -14,15 +14,9 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .chirotope import crossing_rows, side_masks
+from .chirotope import crossing_rows
 from .errors import InvalidSegmentError, SizeLimitError
-from .geometry import (
-    PointSet,
-    Segment,
-    all_segments,
-    integer_coordinates,
-    segments_cross,
-)
+from .geometry import PointSet, Segment, all_segments, segments_cross
 
 CrossingFamily = tuple[Segment, ...]
 
@@ -53,8 +47,7 @@ def build_crossing_graph(S: PointSet) -> CrossingGraph:
     """Crossing graph over all segments of ``S`` (requires general position, n >= 2)."""
     if len(S) < 2:
         raise ValueError("need at least two points to span a segment")
-    left = side_masks(integer_coordinates(S))
-    return CrossingGraph(all_segments(len(S)), tuple(crossing_rows(left, len(S))))
+    return CrossingGraph(all_segments(len(S)), tuple(crossing_rows(S.side_masks, len(S))))
 
 
 class _TargetReached(Exception):

@@ -5,6 +5,10 @@ All predicates run on arbitrary-precision rationals (plain ``int`` or
 exact for inputs of any size. Crossing structure is combinatorially fragile
 and the replication construction relies on arbitrarily small spacings, which
 rules out approximate arithmetic.
+
+``PointSet.side_masks`` is the one way a point set reaches the kernel of
+:mod:`crossfam.chirotope`; it is kept with the set, so every question asked
+of one set shares one pass over its triples.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Union
@@ -65,6 +70,14 @@ class PointSet:
 
     def __getitem__(self, i: int) -> Point:
         return self.points[i]
+
+    @cached_property
+    def side_masks(self) -> tuple[int, ...]:
+        """The kernel's side-mask table, computed on first read and kept (not a field).
+
+        Outside general position every read raises :class:`NotGeneralPositionError`.
+        """
+        return tuple(side_masks(integer_coordinates(self)))
 
 
 @dataclass(frozen=True, order=True)
@@ -128,7 +141,7 @@ def segments_cross(S: PointSet, s1: Segment, s2: Segment) -> bool:
 def is_general_position(S: PointSet) -> bool:
     """True iff no three points are collinear (vacuously true for n < 3), by the kernel."""
     try:
-        side_masks(integer_coordinates(S))
+        S.side_masks
     except NotGeneralPositionError:
         return False
     return True

@@ -13,11 +13,11 @@ exhaustive checks certify a spacing:
 ``choose_epsilon`` halves a spacing until both checks pass, so emitted sets
 carry a machine-verified certificate rather than an asymptotic argument.
 
-Both checks read the side masks of :func:`crossfam.chirotope.side_masks`,
-whose one pass over the replica's triples is also its general-position
-check; this module does no orientation arithmetic of its own. Cluster
-isolation is then a few mask operations per intra-cluster segment and
-outside point, and copy order one subset test per line through two copies.
+Both checks read the replica's ``PointSet.side_masks``, the one way a point
+set reaches the kernel; that one pass is also the replica's general-position
+check, and the replica keeps it for its crossing graph. Cluster isolation is
+a few mask operations per intra-cluster segment and outside point, and copy
+order one subset test per line through two copies.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .chirotope import side_masks
 from .errors import (
     DegenerateEpsilonError,
     EpsilonSearchError,
@@ -40,7 +39,6 @@ from .geometry import (
     PointSet,
     Segment,
     has_distinct_coordinates,
-    integer_coordinates,
     is_general_position,
 )
 
@@ -131,7 +129,7 @@ def _replica(
     if not has_distinct_coordinates(out):
         raise DegenerateEpsilonError(f"epsilon {eps} collides replica coordinates")
     try:
-        left = side_masks(integer_coordinates(out))
+        out.side_masks
     except NotGeneralPositionError as exc:
         raise DegenerateEpsilonError(
             f"epsilon {eps} makes points {exc.triple} collinear"
@@ -141,10 +139,15 @@ def _replica(
         epsilon=epsilon,
         m=m,
         source_n=len(S),
-        cluster_isolation_ok=_cluster_isolation(left, cmap),
-        copy_order_ok=_copy_order(S, out, cmap, left),
+        cluster_isolation_ok=verify_cluster_isolation(out, cmap),
+        copy_order_ok=verify_copy_order(S, out, cmap),
     )
     return out, cmap, cert
+
+
+def _check_copy_map(S2: PointSet, cmap: CopyMap) -> None:
+    if len(cmap) != len(S2):
+        raise ValueError(f"copy map has {len(cmap)} entries, replica has {len(S2)} points")
 
 
 def verify_cluster_isolation(S2: PointSet, cmap: CopyMap) -> bool:
@@ -152,20 +155,16 @@ def verify_cluster_isolation(S2: PointSet, cmap: CopyMap) -> bool:
 
     Every segment joining two copies of one source point may be crossed only
     by segments with at least one endpoint at a copy of that same source.
-    ``S2`` must be in general position.
-    """
-    return _cluster_isolation(side_masks(integer_coordinates(S2)), cmap)
-
-
-def _cluster_isolation(left: list[int], cmap: CopyMap) -> bool:
-    """Cluster isolation read from the replica's side masks.
+    ``S2`` must be in general position and ``cmap`` must map its points.
 
     For copies a, b of one source, let L and R be the outside points left
     and right of a -> b. A segment cd with c in L, d in R crosses ab iff a
     and b lie on opposite sides of cd, i.e. iff d lies in exactly one of the
     side masks of (a, c) and (b, c).
     """
-    n2 = len(cmap)
+    _check_copy_map(S2, cmap)
+    left = S2.side_masks
+    n2 = len(S2)
     every = (1 << n2) - 1
     for src in range(cmap.source_n):
         cluster = cmap.copies_of(src)
@@ -189,18 +188,16 @@ def verify_copy_order(S: PointSet, S2: PointSet, cmap: CopyMap) -> bool:
 
     For sources p above q, every line through two distinct copies of p must
     pass strictly above every copy of q; symmetrically when p is below q.
-    ``S2`` must be in general position.
-    """
-    return _copy_order(S, S2, cmap, side_masks(integer_coordinates(S2)))
-
-
-def _copy_order(S: PointSet, S2: PointSet, cmap: CopyMap, left: list[int]) -> bool:
-    """Copy order read from the replica's side masks.
+    ``S2`` must be in general position and ``cmap`` must map it onto ``S``.
 
     A point lies strictly below the line through copies u, v with
     x_u < x_v iff it lies left of v -> u, so every copy of a lower source
     must be in the side mask of (v, u).
     """
+    _check_copy_map(S2, cmap)
+    if cmap.source_n != len(S):
+        raise ValueError(f"copy map has {cmap.source_n} sources, source set has {len(S)} points")
+    left = S2.side_masks
     n2 = len(S2)
     lower = 0  # copies of every source below the current one
     # sources have pairwise distinct y, as replication requires
@@ -265,6 +262,7 @@ def contract_family(
     Fails with :class:`SameSourceSegmentError` if some segment joins two
     copies of one source point, since such a segment has no source image.
     """
+    _check_copy_map(S2, cmap)
     n2 = len(S2)
     out = set()
     for seg in family:

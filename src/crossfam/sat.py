@@ -44,10 +44,10 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .chirotope import _segment_offsets, crossing_rows, side_masks
+from .chirotope import _segment_offsets, crossing_rows
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
 from .formats import write_atomic
-from .geometry import PointSet, Segment, integer_coordinates
+from .geometry import PointSet, Segment
 
 Assignment = list[bool]
 
@@ -326,10 +326,8 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
     if len(S) != vm.n:
         raise ValueError(f"point set has {len(S)} points, variable map expects {vm.n}")
     order = sorted(range(len(S)), key=lambda i: S[i].x)
-    raw = integer_coordinates(S)
-    coords = [raw[i] for i in order]
     try:
-        left = side_masks(coords)
+        left = PointSet(tuple(S[i] for i in order)).side_masks
     except NotGeneralPositionError:
         raise NotGeneralPositionError("assignment requires general position") from None
     if len({p.x for p in S}) != len(S):

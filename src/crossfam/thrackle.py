@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .geometry import PointSet, Segment, convex_position_points, segments_cross
 
@@ -30,10 +29,6 @@ class GeometricGraph:
         for e in self.edges:
             if not (0 <= e.a < n and 0 <= e.b < n):
                 raise ValueError(f"edge {e.a} {e.b} out of range for {n} points")
-
-    @classmethod
-    def from_pairs(cls, S: PointSet, pairs: Iterable[tuple[int, int]]) -> "GeometricGraph":
-        return cls(S, frozenset(Segment(a, b) for a, b in pairs))
 
     def sorted_edges(self) -> tuple[Segment, ...]:
         return tuple(sorted(self.edges))

@@ -1,8 +1,10 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
+from crossfam import chirotope
 from crossfam.geometry import PointSet, all_segments, segments_cross
 from crossfam.search import random_general_position
 
@@ -10,6 +12,26 @@ from crossfam.search import random_general_position
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Coordinate tuples of every ``chirotope.side_masks`` pass, in call order.
+
+    Wraps the kernel in every crossfam module that binds it, so a pass is
+    counted whichever module makes it.
+    """
+    real = chirotope.side_masks
+    passes = []
+
+    def counted(coords):
+        passes.append(tuple(coords))
+        return real(coords)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crossfam") and getattr(module, "side_masks", None) is real:
+            monkeypatch.setattr(module, "side_masks", counted)
+    return passes
 
 
 def random_pointset(rng: random.Random, n: int, bound: int = 50) -> PointSet:

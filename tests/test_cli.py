@@ -8,6 +8,7 @@ import pytest
 
 import crossfam
 from crossfam.cli import main
+from crossfam.crossing import CliqueSearch
 from crossfam.formats import (
     format_graph,
     format_pointset,
@@ -59,6 +60,32 @@ class TestCf:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "cf", "/nonexistent/file.txt")
         assert code == 1 and "error" in err
+
+    @pytest.fixture
+    def interrupted_cf(self, monkeypatch):
+        """``cf`` on n14_cf3, interrupted once the search holds a one-segment family."""
+        real = CliqueSearch._expand
+
+        def expand(self, clique, cand):
+            if clique:
+                raise KeyboardInterrupt
+            real(self, clique, cand)
+
+        monkeypatch.setattr(CliqueSearch, "_expand", expand)
+        return str(Path(crossfam.__file__).parent / "data" / "n14_cf3.txt")
+
+    def test_interrupt_prints_best_witness(self, capsys, interrupted_cf):
+        code, out, err = run(capsys, "cf", interrupted_cf)
+        assert code == 130
+        assert err == "interrupted; best found so far: 1\n"
+        assert out == format_witness(1, [Segment(2, 10)])
+
+    def test_interrupt_with_json_prints_json(self, capsys, interrupted_cf):
+        code, out, err = run(capsys, "cf", interrupted_cf, "--json")
+        assert code == 130
+        assert err == "interrupted; best found so far: 1\n"
+        assert json.loads(out) == {"schema": "crossfam/1", "command": "cf", "n": 14,
+                                   "k": 1, "witness": [[2, 10]]}
 
 
 class TestDecideCount:

@@ -62,6 +62,15 @@ class TestBuildCrossingGraph:
             build_crossing_graph(PointSet.from_coords([(0, 0)]))
 
 
+def test_one_kernel_pass_per_set(kernel_passes):
+    S = random_pointset(random.Random(20), 20)
+    graph = build_crossing_graph(S)
+    k = CliqueSearch(graph.adjacency).run()[0]
+    assert has_k_family(S, k) is not None and has_k_family(S, k + 1) is None
+    assert count_k_families(S, 3) > 0
+    assert len(kernel_passes) == 1
+
+
 class TestMaxCrossingFamily:
     def test_convex_10gon(self):
         k, family = max_crossing_family(convex_position_points(10))

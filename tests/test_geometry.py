@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crossfam.chirotope import side_masks
 from crossfam.errors import InvalidSegmentError, NotGeneralPositionError
 from crossfam.geometry import (
     Orientation,
@@ -136,6 +138,38 @@ class TestGeneralPosition:
     def test_agrees_with_pairwise_oracle(self, coords):
         expected = collinear_triple(coords) is None
         assert is_general_position(PointSet.from_coords(coords)) == expected
+
+
+class TestSideMasks:
+    def test_table_is_a_kept_read_only_tuple(self, kernel_passes):
+        S = PointSet.from_coords([(0, 0), (Fraction(7, 2), 1), (1, 3), (4, Fraction(9, 2))])
+        table = S.side_masks
+        assert isinstance(table, tuple)
+        assert list(table) == side_masks(integer_coordinates(S))
+        assert S.side_masks is table and is_general_position(S)
+        assert len(kernel_passes) == 1
+        with pytest.raises(FrozenInstanceError):
+            S.side_masks = ()
+        assert S.side_masks is table
+
+    def test_collinear_set_raises_on_every_read(self, kernel_passes):
+        S = PointSet.from_coords([(0, 0), (3, 1), (1, 3), (2, 2)])
+        for _ in range(3):
+            with pytest.raises(NotGeneralPositionError) as exc:
+                S.side_masks
+            assert exc.value.triple == (1, 2, 3)
+        assert not is_general_position(S)
+        assert len(kernel_passes) == 4  # nothing is stored
+
+    def test_reading_the_table_leaves_identity_unchanged(self):
+        # the extremal benchmark digest hashes repr(replica)
+        S = PointSet.from_coords([(0, 0), (Fraction(7, 2), 1), (1, 3)])
+        twin = PointSet.from_coords([(0, 0), (Fraction(7, 2), 1), (1, 3)])
+        before = (repr(S), hash(S))
+        S.side_masks
+        assert (repr(S), hash(S)) == before == (repr(twin), hash(twin))
+        assert S == twin and twin == S
+        assert {S: 1}[twin] == 1
 
 
 class TestNormalizeCoordinates:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossfam import replication
+from crossfam import geometry
 from crossfam.chirotope import side_masks
-from crossfam.crossing import max_crossing_family
+from crossfam.crossing import build_crossing_graph, max_crossing_family
 from crossfam.errors import (
     DegenerateEpsilonError,
     NotGeneralPositionError,
@@ -262,7 +262,7 @@ def test_searched_spacing_builds_no_extra_replica(monkeypatch, name, m):
         passes.append(tuple(coords))
         return side_masks(coords)
 
-    monkeypatch.setattr(replication, "side_masks", counted_side_masks)
+    monkeypatch.setattr(geometry, "side_masks", counted_side_masks)
     eps = choose_epsilon(S, m)
     searched = len(passes)
     passes.clear()
@@ -271,6 +271,50 @@ def test_searched_spacing_builds_no_extra_replica(monkeypatch, name, m):
     assert len(set(passes)) == len(passes)  # no replica is built twice
     assert cert.epsilon == eps and cert.certified
     assert (S2, cmap) == replicate_certified(S, m, eps)[:2]
+
+
+def test_trimmed_replica_keeps_its_table(kernel_passes):
+    # the replica carries the table its certificate read; the source is checked once
+    S0 = normalize_coordinates(load_bundled("n9_cf2")[0])
+    eps = choose_epsilon(S0, 3)
+    S2, _, cert = replicate_certified(S0, 3, eps, 25)
+    graph = build_crossing_graph(S2)
+    assert cert.certified and len(S2) == 25 and graph.edge_count > 0
+    assert kernel_passes.count(tuple(integer_coordinates(S2))) == 1
+    assert kernel_passes.count(tuple(integer_coordinates(S0))) == 1
+
+
+class TestCopyMapMustDescribeReplica:
+    @pytest.fixture(scope="class")
+    def siblings(self):
+        """The certified doubling of n9_cf2 (18 points) and its 14-point trim."""
+        S = normalize_coordinates(load_bundled("n9_cf2")[0])
+        eps = choose_epsilon(S, 2)
+        return S, replicate_certified(S, 2, eps)[:2], replicate_certified(S, 2, eps, 14)[:2]
+
+    def test_cluster_isolation(self, siblings):
+        _, (S18, cmap18), (S14, cmap14) = siblings
+        with pytest.raises(ValueError, match="copy map has 14 entries, replica has 18 points"):
+            verify_cluster_isolation(S18, cmap14)
+        with pytest.raises(ValueError, match="copy map has 18 entries, replica has 14 points"):
+            verify_cluster_isolation(S14, cmap18)
+
+    def test_copy_order(self, siblings):
+        S, (S18, cmap18), (S14, cmap14) = siblings
+        with pytest.raises(ValueError, match="copy map has 14 entries, replica has 18 points"):
+            verify_copy_order(S, S18, cmap14)
+        with pytest.raises(ValueError, match="copy map has 18 entries, replica has 14 points"):
+            verify_copy_order(S, S14, cmap18)
+        with pytest.raises(ValueError, match="copy map has 9 sources, source set has 8 points"):
+            verify_copy_order(PointSet(S.points[:8]), S18, cmap18)
+        assert verify_copy_order(S, S18, cmap18) and verify_copy_order(S, S14, cmap14)
+
+    def test_contract_family(self, siblings):
+        _, (S18, cmap18), (S14, cmap14) = siblings
+        with pytest.raises(ValueError, match="copy map has 14 entries, replica has 18 points"):
+            contract_family(S18, cmap14, [])
+        with pytest.raises(ValueError, match="copy map has 18 entries, replica has 14 points"):
+            contract_family(S14, cmap18, [])
 
 
 QUAD = PointSet.from_coords([(0, 0), (7, 2), (3, 9), (10, 5)])
