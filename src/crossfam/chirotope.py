@@ -3,7 +3,9 @@
 Every orientation and crossing question the solvers, the annealer, the
 replication certificate and the CNF assignment ask is answered from here.
 A point set reaches it only through ``PointSet.side_masks``, which keeps
-its table; the annealer alone keeps a list of its own, rewritten as points move.
+its table, and ``PointSet.crossing_rows``, which keeps the crossing rows
+built from that table beside it; the annealer alone keeps lists of its own,
+rewritten as points move.
 For integer coordinates of n points the table is a flat list of n^2
 bitsets over points: entry ``a*n + b`` (a != b) holds the points c with
 orient(a, b, c) > 0, the points left of the directed line a -> b, and the

@@ -2,19 +2,21 @@
 
 The crossing graph has one vertex per spanned segment and an edge between
 two segments iff they cross properly; crossing families are exactly its
-cliques. The optimizer is a branch-and-bound maximum-clique search with a
+cliques. Its rows are the ones the point set keeps,
+``PointSet.crossing_rows``, so every question asked of one set shares one
+graph. The optimizer is a branch-and-bound maximum-clique search with a
 greedy-coloring upper bound over bitset adjacency rows, processing vertices
-in degeneracy order. ``brute_force_cf`` is a deliberately separate
-exhaustive clique enumeration used as an oracle in tests.
+in degeneracy order; where the bound is tight, a colour-class cut skips the
+branches that cannot hold an improving clique. ``brute_force_cf`` is a
+deliberately separate exhaustive clique enumeration used as an oracle in
+tests.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter
 from typing import Optional, Sequence
 
-from .chirotope import crossing_rows
 from .errors import InvalidSegmentError, SizeLimitError
 from .geometry import PointSet, Segment, all_segments, segments_cross
 
@@ -45,9 +47,14 @@ class CrossingGraph:
 
 def build_crossing_graph(S: PointSet) -> CrossingGraph:
     """Crossing graph over all segments of ``S`` (requires general position, n >= 2)."""
+    return CrossingGraph(all_segments(len(S)), _adjacency(S))
+
+
+def _adjacency(S: PointSet) -> tuple[int, ...]:
+    """The crossing graph's rows, which ``S`` keeps; no segment is built."""
     if len(S) < 2:
         raise ValueError("need at least two points to span a segment")
-    return CrossingGraph(all_segments(len(S)), tuple(crossing_rows(S.side_masks, len(S))))
+    return S.crossing_rows
 
 
 class _TargetReached(Exception):
@@ -63,29 +70,43 @@ class CliqueSearch:
     its color bound cannot beat the incumbent. ``best_size``/``best`` are
     readable mid-run, so callers may inspect progress after an interrupt.
 
+    A node is tight when the clique plus its color bound exceeds the
+    incumbent by exactly one. Only the top color class is branched on there,
+    and an improving clique takes exactly one vertex from every class, since
+    each class is an independent set. The colour-class cut filters the
+    classes to a fixpoint, dropping a vertex with no neighbour among the
+    surviving vertices of some other class: when a class empties the node
+    returns, and a dropped top-class vertex is not branched on. Only
+    branches that cannot record are cut, so the search records the cliques
+    the plain color bound records, in the same order, and returns the same
+    answer and witness.
+
     The degeneracy order is computed bit-parallel, in the style of the
     BBMC family of solvers (San Segundo et al.): the degrees are held as one
     bitset per binary digit, so each removal step is O(log max degree)
-    big-int operations rather than a scan over the vertices, and each row is
-    relabeled in one pass over its binary text.
+    big-int operations rather than a scan over the vertices, and the rows
+    are relabeled by one transposition of their binary text. ``adjacency``
+    must be symmetric (u in row v iff v in row u): the transposition reads
+    each relabeled row from a column.
     """
 
     def __init__(self, adjacency: Sequence[int]):
         n = len(adjacency)
         # Repeatedly remove a minimum-degree vertex (ties: smallest index) and
         # give the k-th removed the internal label n-1-k, so label 0 is the
-        # last removed (highest core number). planes[j] holds bit j of the
-        # degree of every vertex; the dead ones are masked out by ``alive``.
+        # last removed (highest core number). inv[j] holds the complement of
+        # bit j of the degree of every vertex; the dead ones are masked out
+        # by ``alive``.
         degs = [row.bit_count() for row in adjacency]
-        width = max(degs, default=0).bit_length() or 1
-        texts = [format(d, f"0{width}b") for d in reversed(degs)]
-        planes = [int("".join(col), 2) for col in zip(*texts)][::-1]
+        width = (max(degs).bit_length() or 1) if n else 0
+        digits = "".join([format(d, f"0{width}b") for d in reversed(degs)])
+        inv = [~int(digits[width - 1 - j::width], 2) for j in range(width)]
         alive = (1 << n) - 1
         order = [0] * n
         for new in range(n - 1, -1, -1):
             low = alive
-            for plane in reversed(planes):
-                zeros = low & ~plane
+            for plane in reversed(inv):
+                zeros = low & plane
                 if zeros:
                     low = zeros
             low &= -low
@@ -93,21 +114,20 @@ class CliqueSearch:
             alive ^= low
             order[new] = v
             borrow = adjacency[v] & alive
-            for j, plane in enumerate(planes):
+            for j, plane in enumerate(inv):
                 if not borrow:
                     break
-                planes[j] = plane ^ borrow
-                borrow &= ~plane
+                inv[j] = plane ^ borrow
+                borrow &= plane
         self._to_original = order
-        # Relabel each row in one pass over its binary text: the character
-        # for original vertex u sits at position n-1-u, and the new text
-        # lists new labels n-1 down to 0.
-        if n:
-            pick = itemgetter(*[n - 1 - order[new] for new in range(n - 1, -1, -1)])
-            text = f"0{n}b"
-            self._adj = [int("".join(pick(format(adjacency[v], text))), 2) for v in order]
-        else:
-            self._adj = []
+        # Relabel by one transposition: write the rows in the new order, new
+        # label n-1 first, as one text; every n-th character from n-1-u on is
+        # then the row of original vertex u in new labels, since the adjacency
+        # is symmetric.
+        text = bytearray()
+        for v in reversed(order):
+            text += format(adjacency[v], f"0{n}b").encode()
+        self._adj = [int(text[n - 1 - v::n], 2) for v in order]
         self._n = n
         self.best_size = 0
         self.best: tuple[int, ...] = ()
@@ -120,6 +140,8 @@ class CliqueSearch:
         best size means none exists. Returns (best size, vertex tuple in
         original labels, sorted ascending).
         """
+        if target is not None and target < 1:
+            raise ValueError(f"target clique size must be at least 1, got {target}")
         self.best_size = 0 if target is None else target - 1
         self.best = ()
         self._target = target
@@ -138,27 +160,40 @@ class CliqueSearch:
             raise _TargetReached
 
     def _expand(self, clique: list[int], cand: int) -> None:
+        adj = self._adj
         order: list[int] = []
         bounds: list[int] = []
+        classes: list[int] = []
         color = 0
         rest = cand
         while rest:
             color += 1
-            avail = rest
+            avail = start = rest
             while avail:
                 bit = avail & -avail
                 v = bit.bit_length() - 1
                 avail ^= bit
-                avail &= ~self._adj[v]
+                avail &= ~adj[v]
                 rest ^= bit
                 order.append(v)
                 bounds.append(color)
-        adj = self._adj
+            classes.append(start ^ rest)
         depth = len(clique)
+        dropped = 0
+        if color > 1 and depth + color == self.best_size + 1:
+            # Tight node: only the top class is branched on, and an improving
+            # clique takes one vertex from every class.
+            top = _transversal_top(adj, classes)
+            if not top:
+                return
+            dropped = classes[-1] ^ top
         for i in range(len(order) - 1, -1, -1):
             if depth + bounds[i] <= self.best_size:
                 return
             v = order[i]
+            if dropped >> v & 1:
+                cand ^= 1 << v
+                continue
             clique.append(v)
             if len(clique) > self.best_size:
                 self._record(clique)
@@ -167,6 +202,38 @@ class CliqueSearch:
                 self._expand(clique, nxt)
             clique.pop()
             cand ^= 1 << v
+
+
+def _transversal_top(adj: Sequence[int], classes: list[int]) -> int:
+    """The vertices of the last class that survive the colour-class cut, or 0.
+
+    ``classes`` are disjoint independent sets. Until nothing changes, a
+    vertex is dropped when it has no neighbour among the surviving vertices
+    of some other class, since a clique with one vertex in every class
+    cannot hold it. Returns 0 as soon as a class empties: no such clique
+    exists.
+    """
+    classes = list(classes)
+    changed = True
+    while changed:
+        changed = False
+        for i, cls in enumerate(classes):
+            others = classes[:i] + classes[i + 1:]
+            keep = rest = cls
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                row = adj[bit.bit_length() - 1]
+                for other in others:
+                    if not row & other:
+                        keep ^= bit
+                        break
+            if keep != cls:
+                if not keep:
+                    return 0
+                classes[i] = keep
+                changed = True
+    return classes[-1]
 
 
 def max_crossing_family(S: PointSet) -> tuple[int, CrossingFamily]:
@@ -184,11 +251,11 @@ def has_k_family(S: PointSet, k: int) -> Optional[CrossingFamily]:
     """
     if k < 1:
         raise ValueError("family size must be at least 1")
-    graph = build_crossing_graph(S)
-    size, vertices = CliqueSearch(graph.adjacency).run(target=k)
+    size, vertices = CliqueSearch(_adjacency(S)).run(target=k)
     if size < k:
         return None
-    return tuple(graph.segments[v] for v in vertices)
+    segments = all_segments(len(S))
+    return tuple(segments[v] for v in vertices)
 
 
 def _count_cliques(adj: Sequence[int], k: int, cand: Optional[int] = None) -> int:
@@ -246,8 +313,7 @@ def count_k_families(S: PointSet, k: int) -> int:
     """Exact number of k-crossing families in ``S``."""
     if k < 0:
         raise ValueError("family size must be non-negative")
-    graph = build_crossing_graph(S)
-    return _count_cliques(graph.adjacency, k)
+    return _count_cliques(_adjacency(S), k)
 
 
 def brute_force_cf(S: PointSet) -> int:

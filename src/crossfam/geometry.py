@@ -8,7 +8,9 @@ rules out approximate arithmetic.
 
 ``PointSet.side_masks`` is the one way a point set reaches the kernel of
 :mod:`crossfam.chirotope`; it is kept with the set, so every question asked
-of one set shares one pass over its triples.
+of one set shares one pass over its triples. Beside it the set keeps its
+crossing rows, ``PointSet.crossing_rows``, so the crossing graph of one set
+is built once however many questions are asked of it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Union
 
-from .chirotope import side_masks
+from .chirotope import crossing_rows, side_masks
 from .errors import InvalidSegmentError, NotGeneralPositionError
 
 Coord = Union[int, Fraction]
@@ -78,6 +80,14 @@ class PointSet:
         Outside general position every read raises :class:`NotGeneralPositionError`.
         """
         return tuple(side_masks(integer_coordinates(self)))
+
+    @cached_property
+    def crossing_rows(self) -> tuple[int, ...]:
+        """The crossing graph's adjacency rows over :func:`all_segments`, kept like ``side_masks``.
+
+        Outside general position every read raises :class:`NotGeneralPositionError`.
+        """
+        return tuple(crossing_rows(self.side_masks, len(self)))
 
 
 @dataclass(frozen=True, order=True)

@@ -44,7 +44,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .chirotope import _segment_offsets, crossing_rows
+from .chirotope import _segment_offsets
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
 from .formats import write_atomic
 from .geometry import PointSet, Segment
@@ -326,8 +326,9 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
     if len(S) != vm.n:
         raise ValueError(f"point set has {len(S)} points, variable map expects {vm.n}")
     order = sorted(range(len(S)), key=lambda i: S[i].x)
+    ordered = PointSet(tuple(S[i] for i in order))
     try:
-        left = PointSet(tuple(S[i] for i in order)).side_masks
+        left = ordered.side_masks
     except NotGeneralPositionError:
         raise NotGeneralPositionError("assignment requires general position") from None
     if len({p.x for p in S}) != len(S):
@@ -336,7 +337,7 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
     asg: Assignment = [False] * (vm.num_vars + 1)
     for (a, b, c), var in vm._triple_id.items():
         asg[var] = bool(left[a * n + b] >> c & 1)
-    rows = crossing_rows(left, n)
+    rows = ordered.crossing_rows
     off = _segment_offsets(n)
     for ((a, b), (c, d)), var in vm._pair_id.items():
         asg[var] = bool(rows[off[a] + b] >> (off[c] + d) & 1)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from crossfam import chirotope
+from crossfam.crossing import CliqueSearch
 from crossfam.geometry import PointSet, all_segments, segments_cross
 from crossfam.search import random_general_position
 
@@ -14,24 +15,71 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+def _count_kernel_calls(monkeypatch, name, key):
+    """Wrap ``chirotope.<name>`` in every crossfam module that binds it, so a
+    call is counted whichever module makes it; returns the list of ``key(args)``."""
+    real = getattr(chirotope, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(key(*args))
+        return real(*args)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("crossfam") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def kernel_passes(monkeypatch):
-    """Coordinate tuples of every ``chirotope.side_masks`` pass, in call order.
+    """Coordinate tuples of every ``chirotope.side_masks`` pass, in call order."""
+    return _count_kernel_calls(monkeypatch, "side_masks", tuple)
 
-    Wraps the kernel in every crossfam module that binds it, so a pass is
-    counted whichever module makes it.
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """Point counts of every ``chirotope.crossing_rows`` build, in call order."""
+    return _count_kernel_calls(monkeypatch, "crossing_rows", lambda left, n: n)
+
+
+class ReferenceSearch(CliqueSearch):
+    """The clique search with the plain colour bound and no colour-class cut.
+
+    Same relabeling and recording as :class:`CliqueSearch`; a test oracle for
+    the searched answers and for the sequence of recorded cliques.
     """
-    real = chirotope.side_masks
-    passes = []
 
-    def counted(coords):
-        passes.append(tuple(coords))
-        return real(coords)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("crossfam") and getattr(module, "side_masks", None) is real:
-            monkeypatch.setattr(module, "side_masks", counted)
-    return passes
+    def _expand(self, clique, cand):
+        order = []
+        bounds = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                bit = avail & -avail
+                v = bit.bit_length() - 1
+                avail ^= bit
+                avail &= ~self._adj[v]
+                rest ^= bit
+                order.append(v)
+                bounds.append(color)
+        adj = self._adj
+        depth = len(clique)
+        for i in range(len(order) - 1, -1, -1):
+            if depth + bounds[i] <= self.best_size:
+                return
+            v = order[i]
+            clique.append(v)
+            if len(clique) > self.best_size:
+                self._record(clique)
+            nxt = cand & adj[v]
+            if nxt:
+                self._expand(clique, nxt)
+            clique.pop()
+            cand ^= 1 << v
 
 
 def random_pointset(rng: random.Random, n: int, bound: int = 50) -> PointSet:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfam import crossing
 from crossfam.crossing import (
     CliqueSearch,
     _count_cliques,
@@ -18,8 +19,17 @@ from crossfam.crossing import (
     max_crossing_family,
 )
 from crossfam.errors import InvalidSegmentError, NotGeneralPositionError, SizeLimitError
-from crossfam.geometry import PointSet, Segment, convex_position_points, segments_cross
-from conftest import random_pointset
+from crossfam.geometry import (
+    PointSet,
+    Segment,
+    all_segments,
+    convex_position_points,
+    normalize_coordinates,
+    segments_cross,
+)
+from crossfam.replication import replicate_certified
+from crossfam.store import load_bundled
+from conftest import ReferenceSearch, random_pointset
 
 
 class TestBuildCrossingGraph:
@@ -62,13 +72,24 @@ class TestBuildCrossingGraph:
             build_crossing_graph(PointSet.from_coords([(0, 0)]))
 
 
-def test_one_kernel_pass_per_set(kernel_passes):
+def test_one_kernel_pass_per_set(kernel_passes, row_builds):
     S = random_pointset(random.Random(20), 20)
     graph = build_crossing_graph(S)
     k = CliqueSearch(graph.adjacency).run()[0]
     assert has_k_family(S, k) is not None and has_k_family(S, k + 1) is None
     assert count_k_families(S, 3) > 0
     assert len(kernel_passes) == 1
+    assert row_builds == [20]
+
+
+def test_decide_and_count_build_no_segments(monkeypatch):
+    built = []
+    monkeypatch.setattr(crossing, "all_segments", lambda n: built.append(n) or all_segments(n))
+    S = random_pointset(random.Random(21), 12)
+    k = max_crossing_family(S)[0]
+    assert has_k_family(S, k + 1) is None and count_k_families(S, 2) > 0
+    assert built == [12]
+    assert is_crossing_family(S, has_k_family(S, k)) and built == [12, 12]
 
 
 class TestMaxCrossingFamily:
@@ -317,3 +338,60 @@ def test_clique_counts_inside_a_mask_match_brute_force(adj, k, data):
     assert _count_cliques(adj, k) == _brute_force_cliques(adj, k, every)
     assert _count_cliques(adj, k, cand) == _brute_force_cliques(adj, k, cand)
     assert _count_cliques_meeting(adj, k, cand, hit) == _brute_force_cliques(adj, k, cand, hit)
+
+
+def _traced_run(cls, adj, target=None):
+    """(result, recorded cliques in order, _expand calls) of one search."""
+    search = cls(adj)
+    records, nodes = [], 0
+    record, expand = search._record, search._expand
+
+    def traced_record(clique):
+        records.append(tuple(clique))
+        record(clique)
+
+    def counted_expand(clique, cand):
+        nonlocal nodes
+        nodes += 1
+        expand(clique, cand)
+
+    search._record, search._expand = traced_record, counted_expand
+    return search.run(target), records, nodes
+
+
+def _assert_same_search_as_reference(adj):
+    best, records, _ = _traced_run(CliqueSearch, adj)
+    assert (best, records) == _traced_run(ReferenceSearch, adj)[:2]
+    for k in range(1, best[0] + 2):
+        assert _traced_run(CliqueSearch, adj, k)[:2] == _traced_run(ReferenceSearch, adj, k)[:2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_colour_class_cut_keeps_every_record_on_random_graphs(adj):
+    _assert_same_search_as_reference(adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 13), st.integers(0, 2**32))
+def test_colour_class_cut_keeps_every_record_on_crossing_graphs(n, seed):
+    _assert_same_search_as_reference(
+        build_crossing_graph(random_pointset(random.Random(seed), n)).adjacency)
+
+
+def test_colour_class_cut_searches_fewer_nodes():
+    S, cf = load_bundled("n14_cf3")
+    adj = build_crossing_graph(replicate_certified(normalize_coordinates(S), 3)[0]).adjacency
+    best, records, nodes = _traced_run(CliqueSearch, adj)
+    reference_best, reference_records, reference_nodes = _traced_run(ReferenceSearch, adj)
+    assert best[0] == 3 * cf
+    assert (best, records) == (reference_best, reference_records)
+    assert nodes < reference_nodes
+
+
+@pytest.mark.parametrize("target", [0, -2])
+def test_clique_search_rejects_a_target_below_one(target):
+    search = CliqueSearch([0b110, 0b101, 0b011])
+    with pytest.raises(ValueError, match="at least 1"):
+        search.run(target=target)
+    assert search.run(target=3) == (3, (0, 1, 2))

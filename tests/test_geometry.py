@@ -23,7 +23,8 @@ from crossfam.geometry import (
     segments_cross,
     to_integer_coordinates,
 )
-from conftest import collinear_triple, random_pointset
+from crossfam.crossing import build_crossing_graph
+from conftest import collinear_triple, pairwise_rows, random_pointset
 
 
 def P(x, y):
@@ -161,12 +162,32 @@ class TestSideMasks:
         assert not is_general_position(S)
         assert len(kernel_passes) == 4  # nothing is stored
 
+    def test_crossing_rows_are_kept_beside_the_table(self, kernel_passes, row_builds):
+        S = PointSet.from_coords([(0, 0), (Fraction(7, 2), 1), (1, 3), (4, Fraction(9, 2)), (2, -1)])
+        rows = S.crossing_rows
+        assert isinstance(rows, tuple) and list(rows) == pairwise_rows(S)
+        assert S.crossing_rows is rows and build_crossing_graph(S).adjacency is rows
+        assert len(kernel_passes) == 1 and row_builds == [5]
+        with pytest.raises(FrozenInstanceError):
+            S.crossing_rows = ()
+        assert S.crossing_rows is rows
+
+    def test_collinear_set_has_no_crossing_rows(self, kernel_passes, row_builds):
+        S = PointSet.from_coords([(0, 0), (3, 1), (1, 3), (2, 2)])
+        for _ in range(3):
+            with pytest.raises(NotGeneralPositionError) as exc:
+                S.crossing_rows
+            assert exc.value.triple == (1, 2, 3)
+        assert len(kernel_passes) == 3 and row_builds == []
+        assert vars(S).keys() == {"points"}  # nothing is stored
+
     def test_reading_the_table_leaves_identity_unchanged(self):
         # the extremal benchmark digest hashes repr(replica)
         S = PointSet.from_coords([(0, 0), (Fraction(7, 2), 1), (1, 3)])
         twin = PointSet.from_coords([(0, 0), (Fraction(7, 2), 1), (1, 3)])
         before = (repr(S), hash(S))
         S.side_masks
+        S.crossing_rows
         assert (repr(S), hash(S)) == before == (repr(twin), hash(twin))
         assert S == twin and twin == S
         assert {S: 1}[twin] == 1
