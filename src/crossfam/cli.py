@@ -1,37 +1,29 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain errors (and failed verifications), 2 usage
-errors. All output is deterministic for fixed inputs and flags; query
-subcommands accept --json for machine-readable results.
+errors, 130 when interrupted. All output is deterministic for fixed inputs
+and flags; query subcommands accept --json for machine-readable results.
+Every command needs formats and geometry; each subcommand imports the other
+layers it uses itself, so a command loads only its own.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from pathlib import Path
 
-from . import formats, sat, svgplot
-from .crossing import (
-    CliqueSearch,
-    build_crossing_graph,
-    count_k_families,
-    has_k_family,
-    is_crossing_family,
-)
+from . import formats
 from .errors import CrossfamError
-from .geometry import is_general_position, normalize_coordinates
-from .known import bound_details, entry_source, known_bounds, known_provenance
-from .replication import replicate_certified
-from .search import anneal, random_general_position
 from .formats import load_pointset
+from .geometry import is_general_position, normalize_coordinates
 
 SCHEMA = "crossfam/1"
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     payload = {"schema": SCHEMA, **payload}
     print(json.dumps(payload, sort_keys=True))
 
@@ -44,6 +36,8 @@ def _load_checked(path: str):
 
 
 def _cmd_cf(args) -> int:
+    from .crossing import CliqueSearch, build_crossing_graph
+
     S = load_pointset(args.pointset)
     graph = build_crossing_graph(S)
     solver = CliqueSearch(graph.adjacency)
@@ -64,6 +58,8 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .crossing import has_k_family
+
     S = load_pointset(args.pointset)
     family = has_k_family(S, args.k)
     if args.json:
@@ -79,6 +75,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .crossing import count_k_families
+
     S = load_pointset(args.pointset)
     count = count_k_families(S, args.k)
     if args.json:
@@ -89,6 +87,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_double(args) -> int:
+    from .replication import replicate_certified
+
     S = load_pointset(args.pointset)
     S0 = normalize_coordinates(S)
     S2, _, cert = replicate_certified(S0, args.m, args.epsilon)
@@ -103,6 +103,8 @@ def _cmd_double(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .known import bound_details, entry_source
+
     bound, entry = bound_details(args.n)
     if args.json:
         _emit_json({"command": "bound", "n": args.n, "bound": bound,
@@ -118,6 +120,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_known(args) -> int:
+    from .known import known_bounds, known_provenance
+
     lower, upper, _ = known_bounds(args.n)
     if args.json:
         _emit_json({"command": "known", "n": args.n, "lower": lower, "upper": upper,
@@ -133,6 +137,8 @@ def _cmd_known(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from . import sat
+
     cnf, vm = sat.encode_no_k_family(args.n, args.k)
     sat.emit_dimacs(cnf, args.output, comments=sat.default_dimacs_comments(vm, args.k))
     print(f"p cnf {cnf.num_vars} {cnf.num_clauses} -> {args.output}", file=sys.stderr)
@@ -140,6 +146,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_verify_model(args) -> int:
+    from . import sat
+
     cnf = sat.parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
     asg = sat.parse_model(Path(args.model).read_text(encoding="utf-8"), cnf.num_vars)
     violated = sat.verify_assignment(cnf, asg)
@@ -155,6 +163,8 @@ def _cmd_verify_model(args) -> int:
 
 
 def _cmd_from_points(args) -> int:
+    from . import sat
+
     S = load_pointset(args.pointset)
     S = normalize_coordinates(S)
     cnf, vm = sat.encode_no_k_family(len(S), args.k)
@@ -190,6 +200,10 @@ def _cmd_thrackle(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    import random
+
+    from .search import anneal, random_general_position
+
     cfg, initial_path = formats.parse_search_config(
         Path(args.config).read_text(encoding="utf-8")
     )
@@ -217,6 +231,9 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from . import svgplot
+    from .crossing import is_crossing_family
+
     S = _load_checked(args.pointset)
     family = ()
     if args.witness:
@@ -319,6 +336,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (CrossfamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,6 @@ reduced rationals written ``p/q``.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -291,9 +289,7 @@ def format_search_config(cfg, initial: str | None = None) -> str:
 
 
 def format_trace_csv(trace: Iterable[tuple[int, float, int, int]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "temperature", "current_objective", "best_objective"])
-    for row in trace:
-        writer.writerow(row)
-    return buf.getvalue()
+    # ints and floats need no CSV quoting, and str is repr for both
+    lines = ["iteration,temperature,current_objective,best_objective"]
+    lines.extend(",".join(map(str, row)) for row in trace)
+    return "\n".join(lines) + "\n"

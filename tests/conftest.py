@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 import random
 import sys
 from itertools import combinations
 
 import pytest
 
+import crossfam
 from crossfam import chirotope
 from crossfam.crossing import CliqueSearch
 from crossfam.geometry import PointSet, all_segments, segments_cross
@@ -17,7 +20,11 @@ def rng():
 
 def _count_kernel_calls(monkeypatch, name, key):
     """Wrap ``chirotope.<name>`` in every crossfam module that binds it, so a
-    call is counted whichever module makes it; returns the list of ``key(args)``."""
+    call is counted whichever module makes it; returns the list of ``key(args)``.
+
+    Every submodule is imported first: one imported later, during the test,
+    would bind the real kernel and its calls would go uncounted.
+    """
     real = getattr(chirotope, name)
     calls = []
 
@@ -25,6 +32,9 @@ def _count_kernel_calls(monkeypatch, name, key):
         calls.append(key(*args))
         return real(*args)
 
+    for info in pkgutil.iter_modules(crossfam.__path__):
+        if not info.name.startswith("_"):  # crossfam.__main__ would run the CLI
+            importlib.import_module(f"crossfam.{info.name}")
     for modname, module in list(sys.modules.items()):
         if modname.startswith("crossfam") and getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, counted)

@@ -370,8 +370,7 @@ class TestInterruptedOutputs:
         for path in outputs:
             path.write_text("previous\n")
         interrupt_at(call)
-        with pytest.raises(KeyboardInterrupt):
-            main(argv)
+        assert main(argv) == 130
         # outputs before the interrupted one are complete, the rest untouched
         assert [path.read_text() != "previous\n" for path in outputs] == [
             i < call - 1 for i in range(len(outputs))]
@@ -393,6 +392,55 @@ class TestInterruptedOutputs:
     def test_plot(self, tmp_path, pentagon_file, interrupt_at):
         out = tmp_path / "plot.svg"
         self._check(tmp_path, ["plot", pentagon_file, "-o", str(out)], [out], 1, interrupt_at)
+
+
+class TestInterruptedCommands:
+    """Ctrl-C in a subcommand ends in one stderr line and exit code 130."""
+
+    @pytest.mark.parametrize("target,argv", [
+        # the initial count of a large search, e.g. n = 40 and k = 6
+        ("crossfam.search._count_cliques", ["search", "{config}"]),
+        ("crossfam.crossing.count_k_families", ["count", "{pentagon}", "--k", "2"]),
+        ("crossfam.crossing.has_k_family", ["decide", "{pentagon}", "--k", "2"]),
+        ("crossfam.sat.encode_no_k_family", ["encode", "--n", "6", "--k", "3", "-o", "{cnf}"]),
+    ])
+    def test_one_line_and_exit_130(self, capsys, monkeypatch, tmp_path, pentagon_file,
+                                   target, argv):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(target, interrupt)
+        config = tmp_path / "run.cfg"
+        config.write_text(format_search_config(SearchConfig(n=6, k=3, seed=1, iterations=20)))
+        argv = [a.format(config=config, pentagon=pentagon_file, cnf=tmp_path / "e.cnf")
+                for a in argv]
+        assert run(capsys, *argv) == (130, "", "interrupted\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pentagon.txt", "run.cfg"]
+
+
+class TestSubcommandImports:
+    """Each subcommand loads only the package modules it uses."""
+
+    @pytest.mark.parametrize("argv,unloaded", [
+        (["known", "12"], {"crossing", "sat", "search", "replication", "thrackle"}),
+        (["bound", "100"], {"crossing", "sat", "search", "replication", "thrackle"}),
+        (["cf", "{n9}"], {"sat", "search", "replication", "thrackle", "known"}),
+        (["cf", "{n9}", "--json"], {"sat", "search", "replication", "thrackle", "known"}),
+        (["encode", "--n", "6", "--k", "3", "-o", "{cnf}"], {"crossing", "search", "replication"}),
+    ])
+    def test_unused_modules_stay_unloaded(self, tmp_path, argv, unloaded):
+        package = Path(crossfam.__file__).resolve().parent
+        argv = [a.format(n9=package / "data" / "n9_cf2.txt", cnf=tmp_path / "e.cnf")
+                for a in argv]
+        code = ("import json, sys\n"
+                "from crossfam.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "loaded = [m for m in sys.modules if m.startswith('crossfam.')]\n"
+                "print(json.dumps(loaded), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(package.parent)}, check=True)
+        loaded = {m.removeprefix("crossfam.") for m in json.loads(proc.stderr.splitlines()[-1])}
+        assert "cli" in loaded and not loaded & unloaded
 
 
 def test_usage_error_exits_2():
