@@ -24,10 +24,6 @@ def parse_coord(token: str) -> Coord:
     return int(token)
 
 
-def format_coord(value: Coord) -> str:
-    return str(value)
-
-
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(line number, stripped text) for every non-blank, non-comment line."""
     out = []
@@ -82,7 +78,7 @@ def format_pointset(S: PointSet, comment: str | None = None) -> str:
         out.extend(f"# {line}" for line in comment.splitlines())
     out.append(str(len(S)))
     for p in S:
-        out.append(f"{format_coord(p.x)} {format_coord(p.y)}")
+        out.append(f"{p.x} {p.y}")
     return "\n".join(out) + "\n"
 
 
@@ -194,7 +190,7 @@ def format_graph(S: PointSet, edges: Sequence[Segment], comment: str | None = No
 def format_certificate(cert) -> str:
     """Replication certificates as 'key: value' lines."""
     lines = [
-        f"epsilon: {format_coord(cert.epsilon)}",
+        f"epsilon: {cert.epsilon}",
         f"m: {cert.m}",
         f"source_n: {cert.source_n}",
         f"cluster_isolation: {'true' if cert.cluster_isolation_ok else 'false'}",

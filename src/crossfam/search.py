@@ -78,6 +78,10 @@ class SearchConfig:
             raise ValueError("step sigma must be positive and finite")
         if self.grid_bound < self.n * self.n:
             raise ValueError(f"grid bound must be at least n^2 = {self.n * self.n}")
+        if self.step_sigma > self.grid_bound:
+            # a wider step only clamps to the grid edge, and a far wider one overflows
+            # the offset draw
+            raise ValueError(f"step sigma must not exceed the grid bound {self.grid_bound}")
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,13 @@ class TestSearchCommand:
         code, out, _ = run(capsys, "search", str(cfg_path))
         assert code == 0 and "best objective 0" in out
 
+    def test_step_sigma_wider_than_the_grid_is_one_line_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n = 10\nk = 2\nseed = 0\niterations = 10\nstep_sigma = 1e200\n")
+        assert run(capsys, "search", str(cfg_path)) == (
+            1, "", "error: step sigma must not exceed the grid bound 100\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_relative_initial_resolved_against_config(self, capsys, tmp_path, monkeypatch):
         from crossfam.geometry import PointSet
 
@@ -416,6 +423,26 @@ class TestInterruptedCommands:
                 for a in argv]
         assert run(capsys, *argv) == (130, "", "interrupted\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pentagon.txt", "run.cfg"]
+
+
+class TestClosedStdout:
+    """A query whose reader has gone ends in one stderr line and exit code 1."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["known", "12"], ["known", "12", "--json"]])
+    def test_broken_pipe_is_one_line_error(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(crossfam.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "crossfam", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 class TestSubcommandImports:

@@ -57,6 +57,15 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="step sigma must be positive"):
             SearchConfig(n=8, k=3, seed=1, iterations=10, step_sigma=sigma)
 
+    @pytest.mark.parametrize("sigma, grid_bound", [(100.5, 0), (1e200, 0), (30_000, 20_000)])
+    def test_step_sigma_wider_than_the_grid_rejected(self, sigma, grid_bound):
+        with pytest.raises(ValueError, match="step sigma must not exceed the grid bound"):
+            SearchConfig(n=10, k=2, seed=0, iterations=10, step_sigma=sigma,
+                         grid_bound=grid_bound)
+
+    def test_step_sigma_equal_to_the_grid_bound_accepted(self):
+        assert SearchConfig(n=10, k=2, seed=0, iterations=10, step_sigma=100).step_sigma == 100
+
 
 class TestPerturb:
     def test_sigma_zero_identity(self):
