@@ -65,21 +65,23 @@ class CliqueSearch:
     """Deterministic branch-and-bound maximum-clique search on bitset adjacency.
 
     Vertices are relabeled so that the densest core (the tail of the
-    degeneracy order) is explored first; candidate sets are partitioned into
-    greedy color classes and a branch is cut when the current clique plus
-    its color bound cannot beat the incumbent. ``best_size``/``best`` are
-    readable mid-run, so callers may inspect progress after an interrupt.
+    degeneracy order) is explored first. A node splits its candidates into
+    greedy colour classes, one bitset each, at one AND per coloured vertex,
+    and walks them from the top class down (each from its highest label),
+    cutting when the clique plus the class index cannot beat the incumbent.
+    ``best_size``/``best`` are readable mid-run, so callers may inspect
+    progress after an interrupt.
 
-    A node is tight when the clique plus its color bound exceeds the
-    incumbent by exactly one. Only the top color class is branched on there,
-    and an improving clique takes exactly one vertex from every class, since
+    A node is tight when the clique plus its colour bound exceeds the
+    incumbent by exactly one. Only the top class is branched on there, and
+    an improving clique takes exactly one vertex from every class, since
     each class is an independent set. The colour-class cut filters the
     classes to a fixpoint, dropping a vertex with no neighbour among the
     surviving vertices of some other class: when a class empties the node
-    returns, and a dropped top-class vertex is not branched on. Only
-    branches that cannot record are cut, so the search records the cliques
-    the plain color bound records, in the same order, and returns the same
-    answer and witness.
+    returns, else the survivors replace the top class. Only branches that
+    cannot record are cut, so the search records the cliques the plain
+    colour bound records, in the same order, and returns the same answer
+    and witness.
 
     The degeneracy order is computed bit-parallel, in the style of the
     BBMC family of solvers (San Segundo et al.): the degrees are held as one
@@ -128,6 +130,8 @@ class CliqueSearch:
         for v in reversed(order):
             text += format(adjacency[v], f"0{n}b").encode()
         self._adj = [int(text[n - 1 - v::n], 2) for v in order]
+        # skip[v] clears v and its neighbours: one AND per colouring step
+        self._skip = [~(row | 1 << v) for v, row in enumerate(self._adj)]
         self._n = n
         self.best_size = 0
         self.best: tuple[int, ...] = ()
@@ -160,58 +164,53 @@ class CliqueSearch:
             raise _TargetReached
 
     def _expand(self, clique: list[int], cand: int) -> None:
-        adj = self._adj
-        order: list[int] = []
-        bounds: list[int] = []
+        adj, skip = self._adj, self._skip
         classes: list[int] = []
-        color = 0
         rest = cand
         while rest:
-            color += 1
             avail = start = rest
             while avail:
                 bit = avail & -avail
-                v = bit.bit_length() - 1
-                avail ^= bit
-                avail &= ~adj[v]
+                avail &= skip[bit.bit_length() - 1]
                 rest ^= bit
-                order.append(v)
-                bounds.append(color)
             classes.append(start ^ rest)
         depth = len(clique)
-        dropped = 0
-        if color > 1 and depth + color == self.best_size + 1:
+        top = len(classes)
+        if top > 1 and depth + top == self.best_size + 1:
             # Tight node: only the top class is branched on, and an improving
-            # clique takes one vertex from every class.
-            top = _transversal_top(adj, classes)
-            if not top:
+            # clique takes one vertex from every class. The dropped vertices
+            # leave cand at once: no top-class sibling's child holds them.
+            survivors = _transversal_top(adj, classes)
+            if not survivors:
                 return
-            dropped = classes[-1] ^ top
-        for i in range(len(order) - 1, -1, -1):
-            if depth + bounds[i] <= self.best_size:
-                return
-            v = order[i]
-            if dropped >> v & 1:
-                cand ^= 1 << v
-                continue
-            clique.append(v)
-            if len(clique) > self.best_size:
-                self._record(clique)
-            nxt = cand & adj[v]
-            if nxt:
-                self._expand(clique, nxt)
-            clique.pop()
-            cand ^= 1 << v
+            cand ^= classes[-1] ^ survivors
+            classes[-1] = survivors
+        for bound in range(top, 0, -1):
+            cls = classes[bound - 1]
+            while cls:
+                if depth + bound <= self.best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                clique.append(v)
+                if len(clique) > self.best_size:
+                    self._record(clique)
+                nxt = cand & adj[v]
+                if nxt:
+                    self._expand(clique, nxt)
+                clique.pop()
+                cand ^= bit
 
 
 def _transversal_top(adj: Sequence[int], classes: list[int]) -> int:
     """The vertices of the last class that survive the colour-class cut, or 0.
 
-    ``classes`` are disjoint independent sets. Until nothing changes, a
-    vertex is dropped when it has no neighbour among the surviving vertices
-    of some other class, since a clique with one vertex in every class
-    cannot hold it. Returns 0 as soon as a class empties: no such clique
-    exists.
+    ``classes`` are disjoint independent sets, a tight node's colour classes;
+    the survivors replace its top class. Until nothing changes, a vertex is
+    dropped when it has no neighbour among the surviving vertices of some
+    other class, since a clique with one vertex in every class cannot hold
+    it. Returns 0 as soon as a class empties: no such clique exists.
     """
     classes = list(classes)
     changed = True

@@ -48,6 +48,9 @@ TraceRow = tuple[int, float, int, int]
 
 _CHECK_INTERVAL = 4096  # full recount guard frequency
 _MAX_RETRIES = 100
+# each offset draws 4 sigma^2 random bits (50 MB at the cap); from about
+# 23,170 on the bit count no longer fits the C int ``getrandbits`` takes
+_MAX_SIGMA = 10_000
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,9 @@ class SearchConfig:
         if self.grid_bound < self.n * self.n:
             raise ValueError(f"grid bound must be at least n^2 = {self.n * self.n}")
         if self.step_sigma > self.grid_bound:
-            # a wider step only clamps to the grid edge, and a far wider one overflows
-            # the offset draw
+            # a wider step only clamps to the grid edge
             raise ValueError(f"step sigma must not exceed the grid bound {self.grid_bound}")
+        _check_sigma(self.step_sigma, "step sigma")
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,12 @@ class SearchState:
     best: PointSet
     best_objective: int
     trace: tuple[TraceRow, ...]
+
+
+def _check_sigma(sigma: float, name: str) -> None:
+    """Reject an offset width above ``_MAX_SIGMA``: its draw is too costly or fails."""
+    if sigma > _MAX_SIGMA:
+        raise ValueError(f"{name} must not exceed {_MAX_SIGMA}")
 
 
 def _discrete_gauss(rng: random.Random, sigma: float) -> int:
@@ -160,10 +169,12 @@ def perturb(
 
     Proposals violating general position are resampled (fresh point choice
     and offset) up to ``max_retries`` times. ``sigma = 0`` returns the input
-    unchanged; a negative or non-finite ``sigma`` raises ValueError.
+    unchanged; a negative or non-finite ``sigma``, or one above 10,000,
+    raises ValueError.
     """
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be non-negative and finite")
+    _check_sigma(sigma, "sigma")
     if sigma == 0:
         return S
     coords = [(int(p.x), int(p.y)) for p in S]

@@ -309,6 +309,14 @@ class TestSearchCommand:
             1, "", "error: step sigma must not exceed the grid bound 100\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
+    def test_step_sigma_above_the_draw_cap_is_one_line_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n = 10\nk = 2\nseed = 0\niterations = 10\n"
+                            "step_sigma = 50000\ngrid_bound = 1000000\n")
+        assert run(capsys, "search", str(cfg_path)) == (
+            1, "", "error: step sigma must not exceed 10000\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_relative_initial_resolved_against_config(self, capsys, tmp_path, monkeypatch):
         from crossfam.geometry import PointSet
 

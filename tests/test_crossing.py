@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -341,22 +342,21 @@ def test_clique_counts_inside_a_mask_match_brute_force(adj, k, data):
 
 
 def _traced_run(cls, adj, target=None):
-    """(result, recorded cliques in order, _expand calls) of one search."""
+    """(result, recorded cliques, ``_expand`` calls (clique, cand)) of one search, in order."""
     search = cls(adj)
-    records, nodes = [], 0
+    records, calls = [], []
     record, expand = search._record, search._expand
 
     def traced_record(clique):
         records.append(tuple(clique))
         record(clique)
 
-    def counted_expand(clique, cand):
-        nonlocal nodes
-        nodes += 1
+    def traced_expand(clique, cand):
+        calls.append((tuple(clique), cand))
         expand(clique, cand)
 
-    search._record, search._expand = traced_record, counted_expand
-    return search.run(target), records, nodes
+    search._record, search._expand = traced_record, traced_expand
+    return search.run(target), records, calls
 
 
 def _assert_same_search_as_reference(adj):
@@ -382,11 +382,53 @@ def test_colour_class_cut_keeps_every_record_on_crossing_graphs(n, seed):
 def test_colour_class_cut_searches_fewer_nodes():
     S, cf = load_bundled("n14_cf3")
     adj = build_crossing_graph(replicate_certified(normalize_coordinates(S), 3)[0]).adjacency
-    best, records, nodes = _traced_run(CliqueSearch, adj)
-    reference_best, reference_records, reference_nodes = _traced_run(ReferenceSearch, adj)
+    best, records, calls = _traced_run(CliqueSearch, adj)
+    reference_best, reference_records, reference_calls = _traced_run(ReferenceSearch, adj)
     assert best[0] == 3 * cf
     assert (best, records) == (reference_best, reference_records)
-    assert nodes < reference_nodes
+    assert len(calls) < len(reference_calls)
+
+
+def _search_tree_digests(adj):
+    """(cf, SHA-256 of the ``_expand`` calls, SHA-256 of the recorded cliques).
+
+    Both digests run over ``run()`` and then ``run(t)`` for t = 1..cf+1,
+    each run closed by its result, so they pin the order of the nodes the
+    search visits and of the cliques it records, not only its answers.
+    """
+    calls, records = hashlib.sha256(), hashlib.sha256()
+    cf = CliqueSearch(adj).run()[0]
+    for target in [None, *range(1, cf + 2)]:
+        result, recorded, expanded = _traced_run(CliqueSearch, adj, target)
+        for digest, items in [(calls, expanded), (records, recorded)]:
+            for item in [*items, result]:
+                digest.update(repr(item).encode())
+    return cf, calls.hexdigest(), records.hexdigest()
+
+
+def _replica(name, m):
+    S, _ = load_bundled(name)
+    return replicate_certified(normalize_coordinates(S), m)[0]
+
+
+# recorded on the search before its branch loop walked colour classes
+@pytest.mark.parametrize("points, cf, calls, records", [
+    (lambda: _replica("n14_cf3", 3), 9,
+     "17952277adb4e89f21bafebd348f8b968180f1289a0151855729ad4628968649",
+     "d905929488add6126a53eacaf0011bd5d886bbc67b4d7b1915b58ca05fd859f8"),
+    (lambda: _replica("n9_cf2", 4), 8,
+     "752d4307f72e96665a007489429e1e1ba717e5f343cfae06b72e849b2c46a6e1",
+     "f06e70f321422d95d59a588eb5f4178f111b9f343692bbb7e185ffa702cdb29c"),
+    (lambda: random_pointset(random.Random(24), 24), 11,
+     "e57d036b5020f6b6e2097eb6e96fa2e238d91369caa0d73483465d912118a925",
+     "140b779f200d802802a647d1db93e4677640e9906427698a081bee28af55234f"),
+    (lambda: convex_position_points(12), 6,
+     "13e106528d6d3d1c1f3f1b53e4474ca4a807296c816bda9ef2d349b22c9c4aac",
+     "714d6746fbf9e0f429c7c7eceff045ee62672211963a47c2dc648d7834a3f5bb"),
+], ids=["n14_cf3-m3", "n9_cf2-m4", "random-24", "convex-12"])
+def test_clique_search_visits_the_pinned_search_tree(points, cf, calls, records):
+    adj = build_crossing_graph(points()).adjacency
+    assert _search_tree_digests(adj) == (cf, calls, records)
 
 
 @pytest.mark.parametrize("target", [0, -2])

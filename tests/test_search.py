@@ -63,6 +63,17 @@ class TestSearchConfig:
             SearchConfig(n=10, k=2, seed=0, iterations=10, step_sigma=sigma,
                          grid_bound=grid_bound)
 
+    @pytest.mark.parametrize("sigma", [10_000.5, 50_000, 1e200])
+    def test_step_sigma_above_the_draw_cap_rejected(self, sigma):
+        with pytest.raises(ValueError, match="step sigma must not exceed 10000"):
+            SearchConfig(n=10, k=2, seed=0, iterations=10, step_sigma=sigma,
+                         grid_bound=10**201)
+
+    def test_step_sigma_at_the_draw_cap_accepted(self):
+        cfg = SearchConfig(n=10, k=2, seed=0, iterations=10, step_sigma=10_000,
+                           grid_bound=1_000_000)
+        assert cfg.step_sigma == 10_000
+
     def test_step_sigma_equal_to_the_grid_bound_accepted(self):
         assert SearchConfig(n=10, k=2, seed=0, iterations=10, step_sigma=100).step_sigma == 100
 
@@ -76,6 +87,11 @@ class TestPerturb:
     @pytest.mark.parametrize("sigma", [-2.0, -math.inf, math.inf, math.nan])
     def test_invalid_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            perturb(convex_position_points(6), sigma, random.Random(0))
+
+    @pytest.mark.parametrize("sigma", [10_000.5, 50_000.0])
+    def test_sigma_above_the_draw_cap_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must not exceed 10000"):
             perturb(convex_position_points(6), sigma, random.Random(0))
 
     def test_deterministic_for_fixed_seed(self):
