@@ -15,18 +15,25 @@ strictly on one side, so the entry of (b, a) is the complement of that of
 the mask of (b, c).
 
 Questions about one line and many points are then a few big-int
-operations. Segment cd crosses ab iff c and d lie on opposite sides of ab
-and the line cd separates a from b, that is, d lies in exactly one of the
-masks of (a, c) and (b, c). A crossing row, the bitset of the segments
-crossing ab, is therefore one mask operation per point c on either side of
-ab. Rows are bitsets over segments in lexicographic order, the order of
-:func:`crossfam.geometry.all_segments`.
+operations. Rows are bitsets over segments in lexicographic order, the
+order of :func:`crossfam.geometry.all_segments`. Segment cd crosses ab iff
+c and d lie on opposite sides of ab and the line cd separates a from b.
+The first holds iff cd has exactly one endpoint in the mask of (a, b) and
+does not end at a or b: those are the segments of the mask's cut, the XOR
+of the stars (segments through a point) of its points, less the stars of
+a and b. The second holds iff exactly one of a and b is left of c -> d,
+which is the XOR of their segment sides (per point, the segments whose
+line it is left of). A crossing row is therefore one lookup per four
+points in tables of the XORs of four stars, and five mask operations.
+The annealer keeps the segment sides beside its table and toggles them
+where a triple flipped.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 from .errors import NotGeneralPositionError
 
@@ -107,29 +114,40 @@ def point_masks(coords: list[tuple[int, int]], p: int) -> Optional[list[int]]:
     return masks
 
 
-def update_point_masks(left: list[int], p: int, masks: list[int]) -> None:
+def update_point_masks(left: list[int], sides: list[int], p: int, masks: list[int]) -> None:
     """Write the masks :func:`point_masks` returned for ``p`` into the table.
 
     Besides the pairs (p, b) and (b, p), point p changes side only in the
     masks of the pairs (b, c) whose triple with p flipped: p is left of
     b -> c iff c is in the mask of (p, b), so each flipped bit of those
-    masks toggles bit p of one other mask.
+    masks toggles bit p of one other mask. The same flips are written into
+    ``sides``, the :func:`segment_sides` of the table: a flipped triple
+    (p, b, c) moves c across the line of segment pb, and p across the line
+    of segment bc, which is toggled once, from the smaller of b and c.
     """
     n = len(masks)
     pn = p * n
     pbit = 1 << p
     every = (1 << n) - 1
+    off = _segment_offsets(n)
+    across_p = 0
     for b, new in enumerate(masks):
         flipped = left[pn + b] ^ new
         if not flipped:
             continue
         left[pn + b] = new
         left[b * n + p] = every ^ new ^ pbit ^ (1 << b)
+        # bit c > b of ``flipped`` lands on segment (b, c), index off[b] + c
+        across_p ^= (flipped >> (b + 1)) << (off[b] + b + 1)
+        segment = 1 << (off[p] + b if p < b else off[b] + p)
         bn = b * n
         while flipped:
             low = flipped & -flipped
-            left[bn + low.bit_length() - 1] ^= pbit
+            c = low.bit_length() - 1
+            left[bn + c] ^= pbit
+            sides[c] ^= segment
             flipped ^= low
+    sides[p] ^= across_p
 
 
 @cache
@@ -139,57 +157,85 @@ def _segment_offsets(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _row_layout(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per point c: the mask of the points above c, and ``off[c] + 1``.
+def _stars(n: int) -> tuple[int, ...]:
+    """Per point p, the bitset of the segments through p."""
+    off = _segment_offsets(n)
+    star = [0] * n
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            bit = 1 << (off[a] + b)
+            star[a] |= bit
+            star[b] |= bit
+    return tuple(star)
 
-    The bits d > c of a mask, shifted left by ``off[c] + 1``, land one
-    place above the indices of the segments (c, d); a row is shifted back
-    once at the end, since ``off[0]`` is -1.
+
+def segment_sides(left: Sequence[int], n: int) -> list[int]:
+    """Per point p, the bitset of the segments (c, d), c < d, with p left of c -> d.
+
+    p is left of c -> d iff d is left of p -> c, so the bits d > c of the
+    mask of (p, c), shifted up to the index ``off[c] + d`` of segment
+    (c, d), are the segments from c that p is left of.
     """
-    every = (1 << n) - 1
-    return (tuple(every ^ ((2 << c) - 1) for c in range(n)),
-            tuple(o + 1 for o in _segment_offsets(n)))
+    off = _segment_offsets(n)
+    first = [o + c + 1 for c, o in enumerate(off)]  # index of segment (c, c + 1)
+    sides = []
+    for p in range(n):
+        pn = p * n
+        side = 0
+        for c in range(n - 1):
+            side |= (left[pn + c] >> (c + 1)) << first[c]
+        sides.append(side)
+    return sides
 
 
-def _crossing_row(left: Sequence[int], n: int, a: int, b: int) -> int:
-    """Bitset of the segments crossing segment (a, b), a < b."""
-    above, shift = _row_layout(n)
-    an = a * n
-    bn = b * n
-    lhs = left[an + b]
-    rhs = left[bn + a]
-    row = 0
-    for c in range(n - 1):
-        if c == a or c == b:
-            continue
-        # partners d > c on the other side of ab, with the line cd between a and b
-        d = (rhs if lhs >> c & 1 else lhs) & above[c] & (left[an + c] ^ left[bn + c])
-        if d:
-            row |= d << shift[c]
-    return row >> 1
+def _rows(left: Sequence[int], n: int, sides: Sequence[int],
+          pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Bitsets of the segments crossing each segment (a, b) of ``pairs``.
+
+    Segment cd crosses ab iff cd has one endpoint in the mask of (a, b),
+    the other on the right of a -> b, and the line cd separates a from b.
+    The segments with exactly one endpoint in a point mask form its cut,
+    the XOR of the stars of its points, read four points at a time from
+    16-entry tables; the cut's segments through a or b are dropped, and
+    the separation is ``sides[a] ^ sides[b]``.
+    """
+    star = _stars(n)
+    tables = []
+    for base in range(0, n, 4):
+        table = [0]
+        for s in star[base:base + 4]:
+            table += [t ^ s for t in table]
+        tables.append(table)
+    rows = []
+    for a, b in pairs:
+        mask = left[a * n + b]
+        cut = 0
+        for table in tables:
+            cut ^= table[mask & 15]
+            mask >>= 4
+        rows.append(cut & (sides[a] ^ sides[b]) & ~(star[a] | star[b]))
+    return rows
 
 
 def crossing_rows(left: Sequence[int], n: int) -> list[int]:
     """Adjacency bitsets of the crossing graph over all C(n, 2) segments."""
-    return [_crossing_row(left, n, a, b) for a in range(n - 1) for b in range(a + 1, n)]
+    return _rows(left, n, segment_sides(left, n), combinations(range(n), 2))
 
 
-def refresh_point_rows(adj: list[int], left: list[int], n: int, p: int) -> None:
+def refresh_point_rows(adj: list[int], left: Sequence[int], sides: Sequence[int],
+                       n: int, p: int) -> None:
     """Rebuild the crossings of the segments through ``p`` after it moved.
 
-    ``left`` already holds the masks of the new position. Two segments
+    ``left`` and ``sides`` already hold the new position. Two segments
     sharing ``p`` never cross, so every changed crossing pairs one segment
     through ``p`` with one avoiding it: the n-1 rows through ``p`` are
     recomputed, and in the other rows only the columns of those segments
     whose crossing flipped are toggled.
     """
     off = _segment_offsets(n)
-    for q in range(n):
-        if q == p:
-            continue
-        a, b = (p, q) if p < q else (q, p)
+    pairs = [(p, q) if p < q else (q, p) for q in range(n) if q != p]
+    for (a, b), row in zip(pairs, _rows(left, n, sides, pairs)):
         i = off[a] + b
-        row = _crossing_row(left, n, a, b)
         flipped = adj[i] ^ row
         adj[i] = row
         col = 1 << i

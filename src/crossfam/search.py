@@ -8,14 +8,17 @@ k-1 segments form a clique in the crossing neighbourhood of s before or
 after the move. Cliques in both neighbourhoods cancel, so only the cliques
 meeting a neighbour that s gained or lost are counted.
 
-The state is the side-mask table of :mod:`crossfam.chirotope` and the
-crossing rows read from it. A move computes the n-1 masks through the
+The state is the side-mask table of :mod:`crossfam.chirotope`, the
+segment sides read from it (per point, the segments whose line it is left
+of) and the crossing rows. A move computes the n-1 masks through the
 moved point, which are also its general-position test; when they equal the
 old ones the table, the crossing graph and the objective are unchanged and
-the move costs no count at all. Otherwise the table is rewritten through
-the point and only the n-1 crossing rows through it are rebuilt. States
-live on an integer grid so every predicate stays exact and checkpoints
-serialize losslessly.
+the move costs no count at all. Otherwise the table and the segment sides
+are rewritten where a triple through the point flipped, and only the n-1
+crossing rows through it are rebuilt. A rejected move restores all three,
+and every 4096 iterations a drift guard compares each with a full rebuild.
+States live on an integer grid so every predicate stays exact and
+checkpoints serialize losslessly.
 
 Randomness comes from ``random.Random`` (the seedable, platform-independent
 Mersenne Twister in the standard library); displacement offsets are drawn
@@ -36,6 +39,7 @@ from .chirotope import (
     crossing_rows,
     point_masks,
     refresh_point_rows,
+    segment_sides,
     side_masks,
     update_point_masks,
 )
@@ -234,6 +238,7 @@ def anneal(
 
     rng = random.Random(cfg.seed)
     n = cfg.n
+    sides = segment_sides(left, n)
     adj = crossing_rows(left, n)
 
     current_obj = _count_cliques(adj, cfg.k)
@@ -261,9 +266,10 @@ def anneal(
                     delta = 0
                 else:
                     saved_left = left.copy()
-                    update_point_masks(left, moved, masks)
+                    saved_sides = sides.copy()
+                    update_point_masks(left, sides, moved, masks)
                     saved_rows = adj.copy()
-                    refresh_point_rows(adj, left, n, moved)
+                    refresh_point_rows(adj, left, sides, n, moved)
                     delta = _objective_delta(saved_rows, adj, n, moved, cfg.k)
                 improved = False
                 if delta <= 0 or (
@@ -278,6 +284,7 @@ def anneal(
                 else:
                     coords[moved] = old_point
                     left = saved_left
+                    sides = saved_sides
                     adj = saved_rows
 
                 trace.append((iteration, temperature, current_obj, best_obj))
@@ -287,6 +294,7 @@ def anneal(
 
                 if iteration % _CHECK_INTERVAL == 0 and (
                     left != side_masks(coords)
+                    or sides != segment_sides(left, n)
                     or adj != crossing_rows(left, n)
                     or current_obj != _count_cliques(adj, cfg.k)
                 ):

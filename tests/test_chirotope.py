@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -9,12 +10,15 @@ from crossfam.chirotope import (
     crossing_rows,
     point_masks,
     refresh_point_rows,
+    segment_sides,
     side_masks,
     update_point_masks,
 )
 from crossfam.crossing import build_crossing_graph
 from crossfam.errors import NotGeneralPositionError
-from crossfam.geometry import PointSet, orientation
+from crossfam.geometry import PointSet, all_segments, normalize_coordinates, orientation
+from crossfam.replication import replicate_certified
+from crossfam.store import load_bundled
 from conftest import collinear_triple, pairwise_rows, random_pointset
 
 # The small grid makes collinear triples and repeated points common; the
@@ -39,13 +43,60 @@ def test_graph_matches_pairwise_predicate(coords):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-10_000, 10_000), st.integers(-10_000, 10_000)),
-                min_size=2, max_size=10))
+                min_size=2, max_size=20))
 def test_rows_from_masks_match_pairwise_predicate(coords):
     try:
         left = side_masks(coords)
     except NotGeneralPositionError:
         return
     assert crossing_rows(left, len(coords)) == pairwise_rows(PointSet.from_coords(coords))
+
+
+# The cut of a mask is read four points at a time: these sizes end on a
+# chunk boundary (4, 8) or just past one (5, 9, 13, 17), or have one
+# partial chunk only (2, 3).
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 13, 17])
+def test_rows_at_cut_chunk_boundaries_match_pairwise_predicate(n):
+    rng = random.Random(n)
+    for bound in (n, 10_000):
+        S = random_pointset(rng, n, bound=bound)
+        left = side_masks([(p.x, p.y) for p in S])
+        assert crossing_rows(left, n) == pairwise_rows(S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_sets)
+def test_segment_sides_match_direct_orientation(coords):
+    try:
+        left = side_masks(coords)
+    except NotGeneralPositionError:
+        return
+    n = len(coords)
+    S = PointSet.from_coords(coords)
+    segments = all_segments(n)
+    sides = segment_sides(left, n)
+    assert len(sides) == n
+    for p in range(n):
+        expected = sum(1 << i for i, s in enumerate(segments)
+                       if p not in (s.a, s.b) and orientation(S[s.a], S[s.b], S[p]) > 0)
+        assert sides[p] == expected, p
+
+
+# SHA-256 of repr(S.crossing_rows) for the bundled sets (m = 1) and their
+# certified replicas, recorded with the earlier per-point row loop.
+@pytest.mark.parametrize("name, m, digest", [
+    ("n9_cf2", 1, "8e3848ee203f1b77b172d7c874440de0bb6a92f5e94d42e8f0f1cba1d773d5ac"),
+    ("n9_cf2", 2, "9d4158e5215a97a73e77f7dc2c69ef609091792122a22975953cc7d0cf178b81"),
+    ("n9_cf2", 3, "ffeb9f1eaaca94253eea46aa69f605a05562e119ff3a93d7d6d3ad1b149ac5b7"),
+    ("n14_cf3", 1, "af2fb35e1943c756a93d6cdd8d9c45f42e584d0627be279c21db409ae0dda14a"),
+    ("n14_cf3", 2, "7557185e73fa68a293e8811c8a92678abf247a8e215ff1950b5a948aef4ecb6a"),
+    ("n14_cf3", 3, "612944ec8ebbe533b1953f197fbce73a061ae5dfe9ed3d98d749c5266f4c201d"),
+])
+def test_rows_of_bundled_sets_and_replicas_are_pinned(name, m, digest):
+    S, _ = load_bundled(name)
+    if m > 1:
+        S = replicate_certified(normalize_coordinates(S), m)[0]
+    assert hashlib.sha256(repr(S.crossing_rows).encode()).hexdigest() == digest
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,6 +154,7 @@ def test_moved_point_updates_match_full_rebuild(n):
     rng = random.Random(n)
     coords = [(p.x, p.y) for p in random_pointset(rng, n, bound=40)]
     left = side_masks(coords)
+    sides = segment_sides(left, n)
     rows = crossing_rows(left, n)
     moves = 0
     while moves < 30:
@@ -114,9 +166,10 @@ def test_moved_point_updates_match_full_rebuild(n):
             coords[p] = old
             assert left == side_masks(coords)
             continue
-        update_point_masks(left, p, masks)
-        refresh_point_rows(rows, left, n, p)
+        update_point_masks(left, sides, p, masks)
+        refresh_point_rows(rows, left, sides, n, p)
         assert left == side_masks(coords)
+        assert sides == segment_sides(left, n)
         assert rows == crossing_rows(left, n)
         assert rows == pairwise_rows(PointSet.from_coords(coords))
         moves += 1
@@ -125,12 +178,14 @@ def test_moved_point_updates_match_full_rebuild(n):
 def test_failed_update_leaves_masks_restorable():
     coords = [(0, 0), (4, 1), (1, 5), (-3, 2), (2, -4)]
     left = side_masks(coords)
+    sides = segment_sides(left, 5)
     before = left.copy()
     coords[1] = (2, 10)  # collinear with (0, 0) and (1, 5)
     assert point_masks(coords, 1) is None
     coords[1] = (4, 1)
-    update_point_masks(left, 1, point_masks(coords, 1))
+    update_point_masks(left, sides, 1, point_masks(coords, 1))
     assert left == before
+    assert sides == segment_sides(left, 5)
 
 
 def test_update_rejects_coincident_points():

@@ -172,6 +172,11 @@ class TestSideMasks:
             S.crossing_rows = ()
         assert S.crossing_rows is rows
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_sets_without_segments_have_empty_rows(self, n):
+        S = PointSet.from_coords([(3, 4)] * n)
+        assert S.crossing_rows == ()
+
     def test_collinear_set_has_no_crossing_rows(self, kernel_passes, row_builds):
         S = PointSet.from_coords([(0, 0), (3, 1), (1, 3), (2, 2)])
         for _ in range(3):

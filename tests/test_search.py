@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossfam import search
-from crossfam.chirotope import crossing_rows, refresh_point_rows, side_masks, update_point_masks
+from crossfam.chirotope import (
+    _segment_offsets,
+    crossing_rows,
+    refresh_point_rows,
+    segment_sides,
+    side_masks,
+    update_point_masks,
+)
 from crossfam.crossing import _count_cliques, count_k_families, max_crossing_family
 from crossfam.errors import NotGeneralPositionError, RetryExhaustedError
 from crossfam.formats import format_pointset
@@ -276,10 +283,35 @@ class TestAnneal:
             rebuilds += 1
             return side_masks(coords)
 
+        def counted_segment_sides(left, n):
+            nonlocal side_rebuilds
+            side_rebuilds += 1
+            return segment_sides(left, n)
+
+        side_rebuilds = 0
         monkeypatch.setattr(search, "_CHECK_INTERVAL", 1)
         monkeypatch.setattr(search, "side_masks", counted_side_masks)
+        monkeypatch.setattr(search, "segment_sides", counted_segment_sides)
         assert anneal(cfg, initial) == unguarded
         assert rebuilds == len(unguarded.trace)  # once at the start, then every iteration
+        assert side_rebuilds == len(unguarded.trace)
+
+    def test_drift_guard_checks_the_kept_sides(self, monkeypatch):
+        # Bits of sides[p] on segments through p are never read by a row, so
+        # setting one leaves every row and objective right: only the guard's
+        # comparison with a fresh segment_sides can see it.
+        cfg = SearchConfig(n=12, k=3, seed=4, iterations=300)
+        initial = random_general_position(12, random.Random(4), cfg.grid_bound)
+
+        def corrupting_update(left, sides, p, masks):
+            update_point_masks(left, sides, p, masks)
+            a, b = (0, p) if p else (0, 1)
+            sides[p] |= 1 << (_segment_offsets(12)[a] + b)
+
+        monkeypatch.setattr(search, "update_point_masks", corrupting_update)
+        monkeypatch.setattr(search, "_CHECK_INTERVAL", 1)
+        with pytest.raises(AssertionError, match="drifted"):
+            anneal(cfg, initial)
 
     # SHA-256 of (initial, trace, best, current, best objective) for fixed
     # seeds: changes to the incremental updates must keep every run
@@ -313,12 +345,14 @@ def test_objective_delta_matches_full_recount(coords, k, seed):
     except NotGeneralPositionError:
         assume(False)
     n = len(coords)
+    sides = segment_sides(left, n)
     old_rows = crossing_rows(left, n)
     new_rows = old_rows.copy()
     moved, _, masks = _move(coords, random.Random(seed), 8.0, 30, 100)
-    update_point_masks(left, moved, masks)
+    update_point_masks(left, sides, moved, masks)
     assert left == side_masks(coords)
-    refresh_point_rows(new_rows, left, n, moved)
+    assert sides == segment_sides(left, n)
+    refresh_point_rows(new_rows, left, sides, n, moved)
     assert new_rows == crossing_rows(left, n)
     assert new_rows == pairwise_rows(PointSet.from_coords(coords))
     assert _objective_delta(old_rows, new_rows, n, moved, k) \
