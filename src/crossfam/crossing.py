@@ -7,9 +7,11 @@ cliques. Its rows are the ones the point set keeps,
 graph. The optimizer is a branch-and-bound maximum-clique search with a
 greedy-coloring upper bound over bitset adjacency rows, processing vertices
 in degeneracy order; where the bound is tight, a colour-class cut skips the
-branches that cannot hold an improving clique. ``brute_force_cf`` is a
-deliberately separate exhaustive clique enumeration used as an oracle in
-tests.
+branches that cannot hold an improving clique. The maximum search starts
+from all but the last vertex of a greedy clique, so the bound cuts from the
+first node on, while the witness is still a clique the search found itself.
+``brute_force_cf`` is a deliberately separate exhaustive clique enumeration
+used as an oracle in tests.
 """
 
 from __future__ import annotations
@@ -83,6 +85,20 @@ class CliqueSearch:
     colour bound records, in the same order, and returns the same answer
     and witness.
 
+    Without a target, the search starts from a greedy incumbent, in the
+    style of the heuristic start of BBMCSP (San Segundo et al.): one dive
+    takes the candidate with the most candidate neighbours (ties: lowest
+    label) until none is left, and the first g - 1 vertices of the g-clique
+    it finds are recorded before the first node. The floor is g - 1, not g,
+    so the search must still reach a g-clique itself. The plain colour bound
+    visits nodes in an order that does not depend on the incumbent and cuts
+    only subtrees with no clique above it, so from any incumbent below the
+    maximum it records the same first maximum clique, and so does the
+    colour-class cut: the answer and witness are an empty start's, and only
+    nodes are saved. A floor of g would keep the greedy clique as the
+    witness whenever it is maximum. The decision search (a target) does not
+    dive.
+
     The degeneracy order is computed bit-parallel, in the style of the
     BBMC family of solvers (San Segundo et al.): the degrees are held as one
     bitset per binary digit, so each removal step is O(log max degree)
@@ -151,11 +167,29 @@ class CliqueSearch:
         self._target = target
         if self._n == 0:
             return 0, ()
+        if target is None:
+            # all but the last vertex of a greedy clique: the search must
+            # still find a clique of the greedy size itself
+            dive = self._greedy_clique()
+            if len(dive) > 1:
+                self._record(dive[:-1])
         try:
             self._expand([], (1 << self._n) - 1)
         except _TargetReached:
             pass
         return self.best_size, self.best
+
+    def _greedy_clique(self) -> list[int]:
+        """A maximal clique built by repeatedly taking the candidate with the
+        most candidate neighbours (ties: lowest label)."""
+        adj, clique = self._adj, []
+        cand, verts = (1 << self._n) - 1, range(self._n)
+        while verts:
+            v = max(verts, key=lambda u: (adj[u] & cand).bit_count())
+            clique.append(v)
+            cand &= adj[v]
+            verts = [u for u in verts if cand >> u & 1]
+        return clique
 
     def _record(self, clique: list[int]) -> None:
         self.best_size = len(clique)

@@ -56,8 +56,9 @@ def row_builds(monkeypatch):
 class ReferenceSearch(CliqueSearch):
     """The clique search with the plain colour bound and no colour-class cut.
 
-    Same relabeling and recording as :class:`CliqueSearch`; a test oracle for
-    the searched answers and for the sequence of recorded cliques.
+    Same relabeling, greedy incumbent and recording as :class:`CliqueSearch`;
+    a test oracle for the searched answers and for the sequence of recorded
+    cliques.
     """
 
     def _expand(self, clique, cand):

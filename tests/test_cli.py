@@ -63,7 +63,8 @@ class TestCf:
 
     @pytest.fixture
     def interrupted_cf(self, monkeypatch):
-        """``cf`` on n14_cf3, interrupted once the search holds a one-segment family."""
+        """``cf`` on n14_cf3, interrupted at its first branch, so that it holds
+        only its greedy incumbent, a two-segment family."""
         real = CliqueSearch._expand
 
         def expand(self, clique, cand):
@@ -77,15 +78,15 @@ class TestCf:
     def test_interrupt_prints_best_witness(self, capsys, interrupted_cf):
         code, out, err = run(capsys, "cf", interrupted_cf)
         assert code == 130
-        assert err == "interrupted; best found so far: 1\n"
-        assert out == format_witness(1, [Segment(2, 10)])
+        assert err == "interrupted; best found so far: 2\n"
+        assert out == format_witness(2, [Segment(0, 9), Segment(5, 8)])
 
     def test_interrupt_with_json_prints_json(self, capsys, interrupted_cf):
         code, out, err = run(capsys, "cf", interrupted_cf, "--json")
         assert code == 130
-        assert err == "interrupted; best found so far: 1\n"
+        assert err == "interrupted; best found so far: 2\n"
         assert json.loads(out) == {"schema": "crossfam/1", "command": "cf", "n": 14,
-                                   "k": 1, "witness": [[2, 10]]}
+                                   "k": 2, "witness": [[0, 9], [5, 8]]}
 
 
 class TestDecideCount:

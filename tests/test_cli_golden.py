@@ -62,7 +62,8 @@ def run_case(command: str, tmp: Path) -> tuple:
 
 
 def interrupt_cf_search(monkeypatch) -> None:
-    """Interrupt ``cf`` once its search holds a one-segment family."""
+    """Interrupt ``cf`` at the search's first branch, when it holds only its
+    greedy incumbent."""
     real = CliqueSearch._expand
 
     def expand(self, clique, cand):
@@ -457,16 +458,17 @@ GOLDEN = {
 INTERRUPTED = {
     'cf {data}/n14_cf3.txt': (
         130,
-        'k = 1\n'
-        '2 10\n',
-        'interrupted; best found so far: 1\n',
+        'k = 2\n'
+        '0 9\n'
+        '5 8\n',
+        'interrupted; best found so far: 2\n',
         {},
     ),
     'cf {data}/n14_cf3.txt --json': (
         130,
-        '{"command": "cf", "k": 1, "n": 14, "schema": "crossfam/1", "witness": '
-        '[[2, 10]]}\n',
-        'interrupted; best found so far: 1\n',
+        '{"command": "cf", "k": 2, "n": 14, "schema": "crossfam/1", "witness": '
+        '[[0, 9], [5, 8]]}\n',
+        'interrupted; best found so far: 2\n',
         {},
     ),
 }

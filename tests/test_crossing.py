@@ -389,21 +389,120 @@ def test_colour_class_cut_searches_fewer_nodes():
     assert len(calls) < len(reference_calls)
 
 
-def _search_tree_digests(adj):
-    """(cf, SHA-256 of the ``_expand`` calls, SHA-256 of the recorded cliques).
+class EmptyStart(CliqueSearch):
+    """The clique search started from an empty incumbent."""
 
-    Both digests run over ``run()`` and then ``run(t)`` for t = 1..cf+1,
-    each run closed by its result, so they pin the order of the nodes the
-    search visits and of the cliques it records, not only its answers.
+    def _greedy_clique(self):
+        return []
+
+
+def _reference_greedy_clique(adj):
+    """Repeatedly take the candidate with the most candidate neighbours,
+    lowest label first among equals, until no candidate is left."""
+    cand, clique = set(range(len(adj))), []
+    while cand:
+        v = min(cand, key=lambda u: (-sum(adj[u] >> w & 1 for w in cand), u))
+        clique.append(v)
+        cand = {w for w in cand if adj[v] >> w & 1}
+    return clique
+
+
+def _is_clique(adj, vertices):
+    return all(adj[u] >> v & 1 for u, v in combinations(vertices, 2))
+
+
+def _assert_incumbent_comes_first(adj):
+    """Check the greedy incumbent of ``run()`` on ``adj``; returns its result.
+
+    The dive matches the set-based reference, its first g - 1 vertices are
+    recorded before the first ``_expand`` (nothing is when g < 2, which holds
+    iff there is no edge), and the answer and witness are an empty start's.
+    """
+    search = CliqueSearch(adj)
+    events = []
+    record, expand = search._record, search._expand
+    search._record = lambda clique: events.append(("record", tuple(clique))) or record(clique)
+    search._expand = lambda clique, cand: events.append(("expand",)) or expand(clique, cand)
+    result = search.run()
+    assert result == EmptyStart(adj).run()
+    dive = search._greedy_clique()
+    assert dive == _reference_greedy_clique(search._adj)
+    assert (len(dive) > 1) == any(adj)
+    if len(dive) > 1:
+        assert events[:2] == [("record", tuple(dive[:-1])), ("expand",)]
+    else:
+        assert events[:1] == ([("expand",)] if adj else [])
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_incumbent_is_recorded_first_and_keeps_the_answer_on_random_graphs(adj):
+    size = _assert_incumbent_comes_first(adj)[0]
+    assert _count_cliques(adj, size) > 0 and _count_cliques(adj, size + 1) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 10), st.integers(0, 2**32))
+def test_incumbent_is_recorded_first_and_keeps_the_answer_on_crossing_graphs(n, seed):
+    S = random_pointset(random.Random(seed), n)
+    size = _assert_incumbent_comes_first(build_crossing_graph(S).adjacency)[0]
+    assert size == brute_force_cf(S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(), st.integers(1, 12))
+def test_interrupted_search_holds_a_clique_of_its_best_size(adj, j):
+    search = CliqueSearch(adj)
+    calls = 0
+    expand = search._expand
+
+    def interrupt_at_j(clique, cand):
+        nonlocal calls
+        calls += 1
+        if calls == j:
+            raise KeyboardInterrupt
+        expand(clique, cand)
+
+    search._expand = interrupt_at_j
+    try:
+        search.run()
+    except KeyboardInterrupt:
+        pass
+    assert len(search.best) == search.best_size >= len(search._greedy_clique()) - 1
+    assert list(search.best) == sorted(search.best) and _is_clique(adj, search.best)
+
+
+# Not the m = 3 replica of n14_cf3: the search's first descent there already
+# reaches cf = 9, so an incumbent of at most cf - 1 cuts nothing, and its
+# pinned search tree is the same from either start.
+@pytest.mark.parametrize("points", [
+    lambda: _replica("n14_cf3", 2),
+    lambda: random_pointset(random.Random(24), 24),
+], ids=["n14_cf3-m2", "random-24"])
+def test_incumbent_searches_fewer_nodes(points):
+    adj = build_crossing_graph(points()).adjacency
+    best, _, calls = _traced_run(CliqueSearch, adj)
+    empty_best, _, empty_calls = _traced_run(EmptyStart, adj)
+    assert best == empty_best
+    assert len(calls) < len(empty_calls)
+
+
+def _search_tree_digests(adj, targets):
+    """(SHA-256 of the ``_expand`` calls, SHA-256 of the recorded cliques).
+
+    Both digests run over ``run(t)`` for each t of ``targets`` in turn (None
+    for no target), each run closed by its result, so they pin the order of
+    the nodes the search visits and of the cliques it records, not only its
+    answers.
     """
     calls, records = hashlib.sha256(), hashlib.sha256()
-    cf = CliqueSearch(adj).run()[0]
-    for target in [None, *range(1, cf + 2)]:
+    for target in targets:
         result, recorded, expanded = _traced_run(CliqueSearch, adj, target)
         for digest, items in [(calls, expanded), (records, recorded)]:
             for item in [*items, result]:
                 digest.update(repr(item).encode())
-    return cf, calls.hexdigest(), records.hexdigest()
+    return calls.hexdigest(), records.hexdigest()
 
 
 def _replica(name, m):
@@ -411,24 +510,44 @@ def _replica(name, m):
     return replicate_certified(normalize_coordinates(S), m)[0]
 
 
-# recorded on the search before its branch loop walked colour classes
-@pytest.mark.parametrize("points, cf, calls, records", [
+# Per graph: cf, the digests of run() (recorded on the search that starts
+# from the greedy incumbent) and those of run(t) for t = 1..cf+1 (recorded
+# before the incumbent, which the decision search does not use).
+_PINNED_SEARCH_TREES = pytest.mark.parametrize("points, cf, search, decide", [
     (lambda: _replica("n14_cf3", 3), 9,
-     "17952277adb4e89f21bafebd348f8b968180f1289a0151855729ad4628968649",
-     "d905929488add6126a53eacaf0011bd5d886bbc67b4d7b1915b58ca05fd859f8"),
+     ("485f3ae283723f485b8f0974a91078ae84097c01a2495c70050bf403c295dfc9",
+      "878161aed796f936a00f67364f3e00baa45d0e1043023a1f131e64bc61449819"),
+     ("70f6085a403f5cd9d93dbd32dc54169ed80c352610d0ce0ba07c515c3276589c",
+      "e15ab686e33b484aa0986b11fdd2f14c46a39a6c753ba6e421883fca4b040375")),
     (lambda: _replica("n9_cf2", 4), 8,
-     "752d4307f72e96665a007489429e1e1ba717e5f343cfae06b72e849b2c46a6e1",
-     "f06e70f321422d95d59a588eb5f4178f111b9f343692bbb7e185ffa702cdb29c"),
+     ("bd8abe0d10f00dca557dc640f57cea18a8fc8950bd5b02074bf320a77d68f251",
+      "404fd752140447e8223b1765c0934b92a404a5bfdab0046ded05da659481caf4"),
+     ("a64acb74410becba498a8ca88d9590a8f3bfc77b578c6adab6d9a7096ef3c35a",
+      "19a8b01f14c07652cadaf51e25730e9b10a0cd13c6635ebea5b59ede9751c7fa")),
     (lambda: random_pointset(random.Random(24), 24), 11,
-     "e57d036b5020f6b6e2097eb6e96fa2e238d91369caa0d73483465d912118a925",
-     "140b779f200d802802a647d1db93e4677640e9906427698a081bee28af55234f"),
+     ("ea20c72f9b702f8ddbfd8959f4be7bf69cc846d944bbea3048c84df89c8c8e05",
+      "392aee73232e9a44a1ea58822793ae9b65a961165aead87bfc0a42bc1cf7365b"),
+     ("67869a1ff0a30de4134f25689b2f99218e04525aa838a377a525cfd2e883be50",
+      "c868225d42b305a8533aa3d27a2f29b9acad67ee55714084fdd795abd45302df")),
     (lambda: convex_position_points(12), 6,
-     "13e106528d6d3d1c1f3f1b53e4474ca4a807296c816bda9ef2d349b22c9c4aac",
-     "714d6746fbf9e0f429c7c7eceff045ee62672211963a47c2dc648d7834a3f5bb"),
+     ("52937b9617c33b7bf6439e1a0b1ba44f4462ae2143605cf560ed7c6aef2bd705",
+      "a806d7b563d420975057e85c455cf7dc3b99b98064907c3f4dc0dd4e0dcd642c"),
+     ("e376e09faca64199332027be72d0ca4f954a9e5b5fd9a21ae4dbde8a4f15d045",
+      "8cefeaaf41a6aebbe8c46d3102710b4e5f52c04a25de4e18409a621eac7bf7a0")),
 ], ids=["n14_cf3-m3", "n9_cf2-m4", "random-24", "convex-12"])
-def test_clique_search_visits_the_pinned_search_tree(points, cf, calls, records):
+
+
+@_PINNED_SEARCH_TREES
+def test_clique_search_visits_the_pinned_search_tree(points, cf, search, decide):
     adj = build_crossing_graph(points()).adjacency
-    assert _search_tree_digests(adj) == (cf, calls, records)
+    assert CliqueSearch(adj).run()[0] == cf
+    assert _search_tree_digests(adj, [None]) == search
+
+
+@_PINNED_SEARCH_TREES
+def test_decide_search_visits_the_pinned_search_tree(points, cf, search, decide):
+    adj = build_crossing_graph(points()).adjacency
+    assert _search_tree_digests(adj, range(1, cf + 2)) == decide
 
 
 @pytest.mark.parametrize("target", [0, -2])
