@@ -10,12 +10,17 @@ in degeneracy order; where the bound is tight, a colour-class cut skips the
 branches that cannot hold an improving clique. The maximum search starts
 from all but the last vertex of a greedy clique, so the bound cuts from the
 first node on, while the witness is still a clique the search found itself.
+The relabelled graph a search runs on is a pure function of the rows, so
+every search on the same rows in one process (``max_crossing_family``,
+then ``has_k_family`` at cf + 1) shares one relabelling; no search result
+is shared.
 ``brute_force_cf`` is a deliberately separate exhaustive clique enumeration
 used as an oracle in tests.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -106,49 +111,17 @@ class CliqueSearch:
     are relabeled by one transposition of their binary text. ``adjacency``
     must be symmetric (u in row v iff v in row u): the transposition reads
     each relabeled row from a column.
+
+    The relabelled rows, the label map and the skip rows are a pure function
+    of the rows, computed by :func:`_layout` and kept for the last graph, so
+    every search built on the same rows shares them. Nothing else is shared:
+    each ``run()`` makes its own dive and full search, each ``run(t)`` its
+    own decision search, and ``best``/``best_size`` belong to the instance.
     """
 
     def __init__(self, adjacency: Sequence[int]):
-        n = len(adjacency)
-        # Repeatedly remove a minimum-degree vertex (ties: smallest index) and
-        # give the k-th removed the internal label n-1-k, so label 0 is the
-        # last removed (highest core number). inv[j] holds the complement of
-        # bit j of the degree of every vertex; the dead ones are masked out
-        # by ``alive``.
-        degs = [row.bit_count() for row in adjacency]
-        width = (max(degs).bit_length() or 1) if n else 0
-        digits = "".join([format(d, f"0{width}b") for d in reversed(degs)])
-        inv = [~int(digits[width - 1 - j::width], 2) for j in range(width)]
-        alive = (1 << n) - 1
-        order = [0] * n
-        for new in range(n - 1, -1, -1):
-            low = alive
-            for plane in reversed(inv):
-                zeros = low & plane
-                if zeros:
-                    low = zeros
-            low &= -low
-            v = low.bit_length() - 1
-            alive ^= low
-            order[new] = v
-            borrow = adjacency[v] & alive
-            for j, plane in enumerate(inv):
-                if not borrow:
-                    break
-                inv[j] = plane ^ borrow
-                borrow &= plane
-        self._to_original = order
-        # Relabel by one transposition: write the rows in the new order, new
-        # label n-1 first, as one text; every n-th character from n-1-u on is
-        # then the row of original vertex u in new labels, since the adjacency
-        # is symmetric.
-        text = bytearray()
-        for v in reversed(order):
-            text += format(adjacency[v], f"0{n}b").encode()
-        self._adj = [int(text[n - 1 - v::n], 2) for v in order]
-        # skip[v] clears v and its neighbours: one AND per colouring step
-        self._skip = [~(row | 1 << v) for v, row in enumerate(self._adj)]
-        self._n = n
+        self._to_original, self._adj, self._skip = _layout(tuple(adjacency))
+        self._n = len(self._adj)
         self.best_size = 0
         self.best: tuple[int, ...] = ()
         self._target: Optional[int] = None
@@ -235,6 +208,53 @@ class CliqueSearch:
                     self._expand(clique, nxt)
                 clique.pop()
                 cand ^= bit
+
+
+@lru_cache(maxsize=1)
+def _layout(
+    adjacency: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(to_original, relabelled rows, skip rows) of :class:`CliqueSearch` on
+    ``adjacency``: a pure function of the rows, cached for the last graph."""
+    n = len(adjacency)
+    # Repeatedly remove a minimum-degree vertex (ties: smallest index) and
+    # give the k-th removed the internal label n-1-k, so label 0 is the
+    # last removed (highest core number). inv[j] holds the complement of
+    # bit j of the degree of every vertex; the dead ones are masked out
+    # by ``alive``.
+    degs = [row.bit_count() for row in adjacency]
+    width = (max(degs).bit_length() or 1) if n else 0
+    digits = "".join([format(d, f"0{width}b") for d in reversed(degs)])
+    inv = [~int(digits[width - 1 - j::width], 2) for j in range(width)]
+    alive = (1 << n) - 1
+    order = [0] * n
+    for new in range(n - 1, -1, -1):
+        low = alive
+        for plane in reversed(inv):
+            zeros = low & plane
+            if zeros:
+                low = zeros
+        low &= -low
+        v = low.bit_length() - 1
+        alive ^= low
+        order[new] = v
+        borrow = adjacency[v] & alive
+        for j, plane in enumerate(inv):
+            if not borrow:
+                break
+            inv[j] = plane ^ borrow
+            borrow &= plane
+    # Relabel by one transposition: write the rows in the new order, new
+    # label n-1 first, as one text; every n-th character from n-1-u on is
+    # then the row of original vertex u in new labels, since the adjacency
+    # is symmetric.
+    text = bytearray()
+    for v in reversed(order):
+        text += format(adjacency[v], f"0{n}b").encode()
+    adj = tuple([int(text[n - 1 - v::n], 2) for v in order])
+    # skip[v] clears v and its neighbours: one AND per colouring step
+    skip = tuple([~(row | 1 << v) for v, row in enumerate(adj)])
+    return tuple(order), adj, skip
 
 
 def _transversal_top(adj: Sequence[int], classes: list[int]) -> int:

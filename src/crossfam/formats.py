@@ -200,9 +200,11 @@ def format_certificate(cert) -> str:
 
 
 _FLAGS = {"true": True, "false": False}
+_CERTIFICATE_KEYS = ("epsilon", "m", "source_n", "cluster_isolation", "copy_order")
 
 
 def parse_certificate(text: str):
+    """Replication certificates: each field of :func:`format_certificate` once."""
     from .replication import ReplicationCertificate
 
     values: dict[str, str] = {}
@@ -210,7 +212,12 @@ def parse_certificate(text: str):
         key, sep, value = line.partition(":")
         if not sep:
             raise ParseError(f"expected 'key: value', got {line!r}", lineno)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CERTIFICATE_KEYS:
+            raise ParseError(f"unknown certificate field {key!r}", lineno)
+        if key in values:
+            raise ParseError(f"duplicate certificate field {key!r}", lineno)
+        values[key] = value.strip()
 
     def field(key, convert, valid=lambda value: True):
         if key not in values:
@@ -227,7 +234,7 @@ def parse_certificate(text: str):
     return ReplicationCertificate(
         epsilon=field("epsilon", parse_coord, lambda eps: eps > 0),
         m=field("m", int, lambda m: m >= 1),
-        source_n=field("source_n", int),
+        source_n=field("source_n", int, lambda n: n >= 0),
         cluster_isolation_ok=field("cluster_isolation", _FLAGS.__getitem__),
         copy_order_ok=field("copy_order", _FLAGS.__getitem__),
     )

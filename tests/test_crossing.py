@@ -274,7 +274,7 @@ def random_graphs(draw, max_n=40):
 @given(random_graphs())
 def test_clique_search_relabels_by_degeneracy_order(adj):
     search = CliqueSearch(adj)
-    assert (search._to_original, search._adj) == _reference_relabel(adj)
+    assert (list(search._to_original), list(search._adj)) == _reference_relabel(adj)
 
 
 def _graph(n, edges):
@@ -317,7 +317,7 @@ def _power_of_two_graph():
         "complete-70", "powers-of-two", "random-65", "random-130", "random-1030"])
 def test_clique_search_order_on_fixed_graphs(adj):
     search = CliqueSearch(adj)
-    assert (search._to_original, search._adj) == _reference_relabel(adj)
+    assert (list(search._to_original), list(search._adj)) == _reference_relabel(adj)
 
 
 def _brute_force_cliques(adj, k, cand, hit=None):
@@ -556,3 +556,65 @@ def test_clique_search_rejects_a_target_below_one(target):
     with pytest.raises(ValueError, match="at least 1"):
         search.run(target=target)
     assert search.run(target=3) == (3, (0, 1, 2))
+
+
+def test_search_and_decisions_on_one_set_relabel_once():
+    S = random_pointset(random.Random(22), 16)
+    crossing._layout.cache_clear()
+    cf, family = max_crossing_family(S)
+    assert has_k_family(S, cf) is not None and has_k_family(S, cf + 1) is None
+    info = crossing._layout.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert is_crossing_family(S, family) and cf == len(family)
+
+
+def _fresh_digests(adj, targets):
+    crossing._layout.cache_clear()
+    return _search_tree_digests(adj, targets)
+
+
+def test_shared_layout_keeps_every_search_tree():
+    """Searches that hit the cached layout, and ones that follow an eviction,
+    visit the same nodes, record the same cliques and return the same
+    witness as searches on a freshly computed layout."""
+    graphs = {
+        "a": build_crossing_graph(random_pointset(random.Random(23), 12)).adjacency,
+        "b": build_crossing_graph(convex_position_points(10)).adjacency,
+    }
+    targets = {name: [None, *range(1, CliqueSearch(adj).run()[0] + 2)]
+               for name, adj in graphs.items()}
+    fresh = {name: _fresh_digests(adj, targets[name]) for name, adj in graphs.items()}
+    crossing._layout.cache_clear()
+    for name in "aabab":
+        assert _search_tree_digests(graphs[name], targets[name]) == fresh[name]
+    info = crossing._layout.cache_info()
+    assert info.misses == 4 and info.hits > 0
+
+
+def test_equal_list_and_tuple_rows_share_one_layout():
+    rows = build_crossing_graph(random_pointset(random.Random(25), 10)).adjacency
+    crossing._layout.cache_clear()
+    from_tuple, from_list = CliqueSearch(rows), CliqueSearch(list(rows))
+    assert crossing._layout.cache_info().misses == 1
+    assert from_list._adj is from_tuple._adj
+    assert from_list._to_original is from_tuple._to_original
+    assert from_list._skip is from_tuple._skip
+
+
+def test_mutating_the_rows_after_construction_leaves_the_search_alone():
+    rows = list(build_crossing_graph(random_pointset(random.Random(26), 10)).adjacency)
+    original = tuple(rows)
+    targets = [None, 1, 2, 3, 4]
+    built = [CliqueSearch(rows) for _ in targets]
+    rows[:] = [0] * len(rows)
+    assert CliqueSearch(rows)._adj != built[0]._adj
+    crossing._layout.cache_clear()
+    for search, target in zip(built, targets):
+        traced = _traced_run(lambda _: search, rows, target)
+        assert traced == _traced_run(CliqueSearch, original, target)
+
+
+def test_layout_is_immutable():
+    search = CliqueSearch(build_crossing_graph(convex_position_points(8)).adjacency)
+    for table in (search._to_original, search._adj, search._skip):
+        assert isinstance(table, tuple) and len(table) == comb(8, 2)

@@ -177,6 +177,29 @@ class TestCertificateFormat:
         with pytest.raises(ParseError, match=f"bad certificate field '{key}'"):
             parse_certificate(text)
 
+    _VALID = "epsilon: 1/4\nm: 2\nsource_n: 5\ncluster_isolation: true\ncopy_order: true\n"
+
+    def test_duplicate_field_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_certificate(self._VALID + "epsilon: 1/8\n")
+        assert str(err.value) == "line 6: duplicate certificate field 'epsilon'"
+
+    def test_unknown_field_names_its_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_certificate("# note\n" + self._VALID + "bogus: 1\n")
+        assert str(err.value) == "line 7: unknown certificate field 'bogus'"
+
+    @pytest.mark.parametrize("count", ["-3", "-1"])
+    def test_negative_source_count(self, count):
+        with pytest.raises(ParseError) as err:
+            parse_certificate(self._VALID.replace("source_n: 5", f"source_n: {count}"))
+        assert str(err.value) == f"bad certificate field 'source_n': '{count}'"
+
+    def test_zero_source_count_round_trips(self):
+        cert = parse_certificate(self._VALID.replace("source_n: 5", "source_n: 0"))
+        assert cert.source_n == 0
+        assert parse_certificate(format_certificate(cert)) == cert
+
 
 class TestSearchConfigFormat:
     def test_round_trip(self):
