@@ -157,8 +157,8 @@ def _segment_offsets(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _stars(n: int) -> tuple[int, ...]:
-    """Per point p, the bitset of the segments through p."""
+def _stars(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per point p, the segments through p; per 4 points, the XORs of their stars."""
     off = _segment_offsets(n)
     star = [0] * n
     for a in range(n - 1):
@@ -166,7 +166,13 @@ def _stars(n: int) -> tuple[int, ...]:
             bit = 1 << (off[a] + b)
             star[a] |= bit
             star[b] |= bit
-    return tuple(star)
+    tables = []
+    for base in range(0, n, 4):
+        table = [0]
+        for s in star[base:base + 4]:
+            table += [t ^ s for t in table]
+        tables.append(tuple(table))
+    return tuple(star), tuple(tables)
 
 
 def segment_sides(left: Sequence[int], n: int) -> list[int]:
@@ -199,13 +205,7 @@ def _rows(left: Sequence[int], n: int, sides: Sequence[int],
     16-entry tables; the cut's segments through a or b are dropped, and
     the separation is ``sides[a] ^ sides[b]``.
     """
-    star = _stars(n)
-    tables = []
-    for base in range(0, n, 4):
-        table = [0]
-        for s in star[base:base + 4]:
-            table += [t ^ s for t in table]
-        tables.append(table)
+    star, tables = _stars(n)
     rows = []
     for a, b in pairs:
         mask = left[a * n + b]

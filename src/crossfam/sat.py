@@ -6,9 +6,10 @@ x-order) can avoid any k segments that pairwise cross. Variables:
 * triple variables X(a,b,c) for a < b < c, ids 1..C(n,3) in lexicographic
   order; true means counterclockwise. A triple queried in permuted argument
   order is the sorted variable negated iff the permutation is odd.
-* pair variables Y({a,b},{c,d}) for disjoint segments, ids following the
-  triple block; for each 4-subset w < x < y < z the pairings
-  ({w,x},{y,z}), ({w,y},{x,z}), ({w,z},{x,y}) get consecutive ids.
+* pair variables Y({a,b},{c,d}) for disjoint segments: the i-th 4-subset
+  w < x < y < z in lexicographic order owns ids C(n,3) + 3i + 1..3 for
+  ({w,x},{y,z}), ({w,y},{x,z}), ({w,z},{x,y}), i.e. C(n,3) + 3i plus the
+  position of w's partner in (w, x, y, z).
 
 Clause groups, in instance order:
 
@@ -21,6 +22,9 @@ Clause groups, in instance order:
    constant factor over the one-directional encoding the family clauses need;
 3. family exclusion: for every 2k-subset and every perfect matching of it
    into k segments, at least one of the C(k,2) segment pairs does not cross.
+   Listed over its 4-subsets in order, a 2k-subset's pair ids are those of
+   a 2k-point instance, so a matching's pairs s, t sit at the positions
+   ``VarMap(2k).pair_var(s, t) - C(2k,3) - 1``.
 
 No solver is bundled: instances go out as DIMACS CNF and models come back
 as whitespace-separated signed integers ('v'-prefixed lines tolerated).
@@ -53,6 +57,11 @@ Assignment = list[bool]
 
 _PAIRING_POSITIONS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
+#: per pairing ((a, b), (c, d)) of _PAIRING_POSITIONS, orientation (a, b, c),
+#: (a, b, d), (c, d, a), (c, d, b) as signed 1-based positions in the triple
+#: ids s = (X_wxy, X_wxz, X_wyz, X_xyz) of the 4-subset: triple_literal's rule
+_CROSSING_LITERALS = ((1, 2, 3, 4), (-1, 3, 2, -4), (-2, -3, 1, 4))
+
 #: clauses formatted per write by ``emit_dimacs``
 _EMIT_CHUNK = 65536
 
@@ -64,38 +73,35 @@ class VarMap:
         if n < 3:
             raise ValueError("need at least 3 points for orientation variables")
         self.n = n
-        self._triple_id: dict[tuple[int, int, int], int] = {}
-        for i, t in enumerate(combinations(range(n), 3), start=1):
-            self._triple_id[t] = i
+        self._triple_id = {t: i for i, t in enumerate(combinations(range(n), 3), start=1)}
         self.num_triple_vars = len(self._triple_id)
-        self._pair_id: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-        next_id = self.num_triple_vars
-        for w, x, y, z in combinations(range(n), 4):
-            quad = (w, x, y, z)
-            for first, second in _PAIRING_POSITIONS:
-                next_id += 1
-                key = ((quad[first[0]], quad[first[1]]), (quad[second[0]], quad[second[1]]))
-                self._pair_id[key] = next_id
-        self.num_pair_vars = len(self._pair_id)
-        self.num_vars = next_id
+        #: the 4-subset's pairings are ids base + 1..3 (module docstring)
+        self._quad_base = {q: self.num_triple_vars + 3 * i
+                           for i, q in enumerate(combinations(range(n), 4))}
+        self.num_pair_vars = 3 * len(self._quad_base)
+        self.num_vars = self.num_triple_vars + self.num_pair_vars
+
+    def _label_error(self, labels: tuple, problem: str) -> ValueError:
+        """Name the first label outside range(n), else ``problem``."""
+        for label in labels:
+            if label not in range(self.n):
+                return ValueError(f"label {label} out of range for {self.n} points")
+        return ValueError(problem)
 
     def triple_var(self, a: int, b: int, c: int) -> int:
         """Variable id of the sorted triple a < b < c."""
-        return self._triple_id[(a, b, c)]
+        try:
+            return self._triple_id[(a, b, c)]
+        except KeyError:
+            raise self._label_error((a, b, c), f"triple {(a, b, c)} is not a < b < c") from None
 
     def triple_literal(self, p: int, q: int, r: int) -> int:
         """Signed literal for orientation(p, q, r): negated on odd permutations."""
-        sign = 1
-        if p > q:
-            p, q = q, p
-            sign = -sign
-        if q > r:
-            q, r = r, q
-            sign = -sign
-        if p > q:
-            p, q = q, p
-            sign = -sign
-        return sign * self._triple_id[(p, q, r)]
+        try:
+            var = self._triple_id[tuple(sorted((p, q, r)))]
+        except KeyError:
+            raise self._label_error((p, q, r), f"triple {(p, q, r)} repeats a label") from None
+        return -var if ((p > q) + (p > r) + (q > r)) & 1 else var
 
     def pair_var(self, s1, s2) -> int:
         """Variable id of the unordered pair of disjoint segments."""
@@ -103,10 +109,12 @@ class VarMap:
         c, d = sorted((s2.a, s2.b) if isinstance(s2, Segment) else s2)
         if (a, b) > (c, d):
             (a, b), (c, d) = (c, d), (a, b)
+        quad = tuple(sorted((a, b, c, d)))
         try:
-            return self._pair_id[((a, b), (c, d))]
+            return self._quad_base[quad] + quad.index(b)
         except KeyError:
-            raise ValueError(f"segments ({a},{b}) and ({c},{d}) are not disjoint") from None
+            raise self._label_error(
+                quad, f"segments ({a},{b}) and ({c},{d}) are not disjoint") from None
 
 
 class Cnf:
@@ -155,52 +163,34 @@ def encode_no_k_family(n: int, k: int) -> tuple[Cnf, VarMap]:
     if k < 2 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 4, got n={n}, k={k}")
     vm = VarMap(n)
-    clauses: list[tuple[int, ...]] = []
-
-    # group 1: at most one sign change along each 4-tuple sequence
     triple_id = vm._triple_id
-    for a, b, c, d in combinations(range(n), 4):
-        s = (triple_id[(a, b, c)], triple_id[(a, b, d)],
-             triple_id[(a, c, d)], triple_id[(b, c, d)])
-        for i, j, l in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-            clauses.append((-s[i], s[j], -s[l]))
-            clauses.append((s[i], -s[j], s[l]))
-    g1 = len(clauses)
+    axioms: list[tuple[int, ...]] = []
+    crossing: list[tuple[int, ...]] = []
+    negated: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    # signed 1-based position i in s is entry i of (0, *s, *-reversed(s))
+    readers = [itemgetter(*signs) for signs in _CROSSING_LITERALS]
+    for (w, x, y, z), base in vm._quad_base.items():
+        a, b, c, d = (triple_id[(w, x, y)], triple_id[(w, x, z)],
+                      triple_id[(w, y, z)], triple_id[(x, y, z)])
+        # group 1: at most one sign change along s = (a, b, c, d)
+        axioms += [(-a, b, -c), (a, -b, c), (-a, b, -d), (a, -b, d),
+                   (-a, c, -d), (a, -c, d), (-b, c, -d), (b, -c, d)]
+        # group 2: Y <-> proper crossing of the two segments
+        signed = (0, a, b, c, d, -d, -c, -b, -a)
+        for yv, read in enumerate(readers, start=base + 1):
+            la, lb, lc, ld = read(signed)
+            crossing += [(-yv, la, lb), (-yv, -la, -lb), (-yv, lc, ld), (-yv, -lc, -ld),
+                         (yv, -la, lb, -lc, ld), (yv, -la, lb, lc, -ld),
+                         (yv, la, -lb, -lc, ld), (yv, la, -lb, lc, -ld)]
+        negated[(w, x, y, z)] = (-base - 1, -base - 2, -base - 3)
+    g1, g2 = len(axioms), len(crossing)
+    clauses = axioms + crossing
 
-    # group 2: Y <-> proper crossing of the two segments
-    pair_id = vm._pair_id
-    lit = vm.triple_literal
-    for w, x, y, z in combinations(range(n), 4):
-        quad = (w, x, y, z)
-        for first, second in _PAIRING_POSITIONS:
-            a, b = quad[first[0]], quad[first[1]]
-            c, d = quad[second[0]], quad[second[1]]
-            yv = pair_id[((a, b), (c, d))]
-            la = lit(a, b, c)
-            lb = lit(a, b, d)
-            lc = lit(c, d, a)
-            ld = lit(c, d, b)
-            clauses.append((-yv, la, lb))
-            clauses.append((-yv, -la, -lb))
-            clauses.append((-yv, lc, ld))
-            clauses.append((-yv, -lc, -ld))
-            clauses.append((yv, -la, lb, -lc, ld))
-            clauses.append((yv, -la, lb, lc, -ld))
-            clauses.append((yv, la, -lb, -lc, ld))
-            clauses.append((yv, la, -lb, lc, -ld))
-    g2 = len(clauses) - g1
-
-    # group 3: every matching of every 2k-subset has a non-crossing pair.
-    # Per subset, list the negated pair ids over its C(2k,4)*3 position
-    # pairings once; each matching's clause is then one getter call.
-    negated = {q: tuple(-pair_id[((q[a], q[b]), (q[c], q[d]))]
-                        for (a, b), (c, d) in _PAIRING_POSITIONS)
-               for q in combinations(range(n), 4)}
-    slot: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    for q in combinations(range(2 * k), 4):
-        for (a, b), (c, d) in _PAIRING_POSITIONS:
-            slot[((q[a], q[b]), (q[c], q[d]))] = len(slot)
-    getters = [_tuple_getter([slot[pair] for pair in combinations(p, 2)])
+    # group 3: every matching of every 2k-subset has a non-crossing pair;
+    # each matching's clause is one getter call on the subset's negated ids
+    sub = VarMap(2 * k)
+    getters = [_tuple_getter([sub.pair_var(s, t) - sub.num_triple_vars - 1
+                              for s, t in combinations(p, 2)])
                for p in _matching_patterns(2 * k)]
     for subset in combinations(range(n), 2 * k):
         negs = tuple(chain.from_iterable(map(negated.__getitem__, combinations(subset, 4))))
@@ -339,8 +329,9 @@ def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:
         asg[var] = bool(left[a * n + b] >> c & 1)
     rows = ordered.crossing_rows
     off = _segment_offsets(n)
-    for ((a, b), (c, d)), var in vm._pair_id.items():
-        asg[var] = bool(rows[off[a] + b] >> (off[c] + d) & 1)
+    for quad, base in vm._quad_base.items():
+        for var, ((a, b), (c, d)) in enumerate(_PAIRING_POSITIONS, start=base + 1):
+            asg[var] = bool(rows[off[quad[a]] + quad[b]] >> (off[quad[c]] + quad[d]) & 1)
     return asg
 
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfam.errors import ParseError
 from crossfam.formats import (
@@ -23,6 +25,7 @@ from crossfam.formats import (
 )
 from crossfam.geometry import PointSet, Segment
 from crossfam.replication import ReplicationCertificate
+from crossfam import search
 from crossfam.search import SearchConfig
 from conftest import random_pointset
 
@@ -236,3 +239,72 @@ def test_parse_coord_forms():
     assert parse_coord("-3/9") == Fraction(-1, 3)
     with pytest.raises(ValueError):
         parse_coord("a/b")
+
+
+# A well-formed text of each format, which the strategy below mutates line by line.
+_POINTSET = "3\n0 0\n1 0\n0 1\n"
+_WITNESS = "k = 2\n0 1\n2 3\n"
+_GRAPH = "4\n0 0\n2 0\n1/2 1\n-1 3/4\nedges\n0 1\n2 3\n"
+_CERTIFICATE = "epsilon: 1/8\nm: 2\nsource_n: 5\ncluster_isolation: true\ncopy_order: false\n"
+_CONFIG = "n = 8\nk = 3\nseed = 0\niterations = 10\nstep_sigma = 2.5\ngrid_bound = 64\n"
+_VALUES = ["0", "1", "2", "3", "-1", "7", "1/2", "-3/4", "1/0", "2/-3", "0/5", "+3", "1_0", "03",
+           "x", "1.5", "nan", "inf", "-inf", "1e400", "0x10", "/", "1/", "--1", "\u0663",
+           "true", "false", "True", "9" * 5000]
+_KEYS = ["k", "edges", "initial", "epsilon", "m", "source_n", "cluster_isolation", "copy_order",
+         "n", "seed", "iterations", "initial_temperature", "cooling_rate", "step_sigma",
+         "grid_bound"]
+
+
+@st.composite
+def format_texts(draw, template):
+    """Texts near a well-formed ``template``: up to three lines changed, or any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=60))
+    lines = template.splitlines()
+    line = st.one_of(
+        st.lists(st.sampled_from(_VALUES + _KEYS + ["=", ":", "#"]), max_size=4).map(" ".join),
+        st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", ":", " = ", ": "]),
+                  st.sampled_from(_VALUES)).map("".join),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["revalue", "revalue", "insert", "replace", "delete"]))
+        if action == "insert" or i == len(lines):
+            lines.insert(i, draw(line))
+        elif action == "replace":
+            lines[i] = draw(line)
+        elif action == "revalue":  # a new last token
+            lines[i] = lines[i].rpartition(" ")[0] + " " + draw(st.sampled_from(_VALUES))
+        else:
+            del lines[i]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestParserProperties:
+    @pytest.mark.parametrize("parse, template", [
+        (parse_pointset, _POINTSET),
+        (parse_witness, _WITNESS),
+        (parse_graph, _GRAPH),
+        (parse_certificate, _CERTIFICATE),
+    ], ids=["pointset", "witness", "graph", "certificate"])
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_malformed_texts_end_in_parse_error(self, parse, template, data):
+        try:
+            parse(data.draw(format_texts(template)))
+        except ParseError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=format_texts(_CONFIG))
+    def test_malformed_configs_end_in_parse_error_or_config_error(self, text):
+        try:
+            parse_search_config(text)
+        except ParseError:
+            pass
+        except ValueError as exc:
+            # only the checks of SearchConfig itself may raise a ValueError
+            tb = exc.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            assert tb.tb_frame.f_code.co_filename == search.__file__, exc

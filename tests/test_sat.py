@@ -22,7 +22,9 @@ from crossfam.geometry import (
     segments_cross,
 )
 from crossfam.sat import (
+    _CROSSING_LITERALS,
     _EMIT_CHUNK,
+    _PAIRING_POSITIONS,
     Cnf,
     VarMap,
     assignment_from_pointset,
@@ -77,6 +79,44 @@ class TestVarMap:
         assert vm.triple_literal(1, 0, 2) == -base
         assert vm.triple_literal(1, 2, 0) == base
         assert vm.triple_literal(2, 1, 0) == -base
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda vm: vm.triple_var(0, 0, 1), r"^triple \(0, 0, 1\) is not a < b < c$"),
+        (lambda vm: vm.triple_var(2, 1, 0), r"^triple \(2, 1, 0\) is not a < b < c$"),
+        (lambda vm: vm.triple_var(0, 1, 9), "^label 9 out of range for 6 points$"),
+        (lambda vm: vm.triple_literal(0, 0, 1), r"^triple \(0, 0, 1\) repeats a label$"),
+        (lambda vm: vm.triple_literal(6, 0, 1), "^label 6 out of range for 6 points$"),
+        (lambda vm: vm.pair_var((0, 1), (2, 99)), "^label 99 out of range for 6 points$"),
+        (lambda vm: vm.pair_var((-1, 1), (2, 3)), "^label -1 out of range for 6 points$"),
+        (lambda vm: vm.pair_var((0, 1), (1, 2)), r"^segments \(0,1\) and \(1,2\) are not disjoint$"),
+    ])
+    def test_bad_labels_name_the_problem(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(VarMap(6))
+
+    @pytest.mark.parametrize("quad", [(0, 1, 2, 3), (1, 3, 4, 7)])
+    def test_crossing_literals_follow_the_parity_rule(self, quad):
+        vm = VarMap(8)
+        s = [vm.triple_var(*t) for t in combinations(quad, 3)]
+        for ((i, j), (l, m)), signs in zip(_PAIRING_POSITIONS, _CROSSING_LITERALS):
+            a, b, c, d = quad[i], quad[j], quad[l], quad[m]
+            expected = [vm.triple_literal(*t) for t in ((a, b, c), (a, b, d), (c, d, a), (c, d, b))]
+            assert [s[p - 1] if p > 0 else -s[-p - 1] for p in signs] == expected
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_pair_ids_biject_onto_the_pair_block(self, n):
+        vm = VarMap(n)
+        segments = list(combinations(range(n), 2))
+        ids = [vm.pair_var(s, t) for s, t in combinations(segments, 2) if not set(s) & set(t)]
+        assert sorted(ids) == list(range(vm.num_triple_vars + 1, vm.num_vars + 1))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_pair_id_of_jth_pairing_of_ith_quad(self, n):
+        vm = VarMap(n)
+        for i, quad in enumerate(combinations(range(n), 4)):
+            for j, ((a, b), (c, d)) in enumerate(_PAIRING_POSITIONS):
+                pair = (quad[a], quad[b]), (quad[c], quad[d])
+                assert vm.pair_var(*pair) == comb(n, 3) + 3 * i + j + 1
 
 
 class TestEncode:
@@ -502,6 +542,21 @@ class TestParseModel:
     def test_non_integer_token(self):
         with pytest.raises(ParseError):
             parse_model("1 two 3", 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.lists(st.lists(st.sampled_from(
+            ["v", "c", "s", "SATISFIABLE", "0", "1", "-1", "2", "-2", "3", "-3", "4",
+             "+1", "01", "-0", "1.0", "x", "v1", "--2", "1_0"]), max_size=6).map(" ".join),
+            max_size=6).map("\n".join),
+        st.text(max_size=40),
+    ), st.integers(0, 4))
+    def test_malformed_models_end_in_parse_error(self, text, num_vars):
+        try:
+            asg = parse_model(text, num_vars)
+        except ParseError:
+            return
+        assert len(asg) == num_vars + 1
 
 
 class TestSatisfiabilityWitness:
