@@ -5,7 +5,8 @@ replication certificate and the CNF assignment ask is answered from here.
 A point set reaches it only through ``PointSet.side_masks``, which keeps
 its table, and ``PointSet.crossing_rows``, which keeps the crossing rows
 built from that table beside it; the annealer alone keeps lists of its own,
-rewritten as points move.
+rewritten as points move, and the replication screen reads a few lines of
+a replica it never builds (``pair_masks``).
 For integer coordinates of n points the table is a flat list of n^2
 bitsets over points: entry ``a*n + b`` (a != b) holds the points c with
 orient(a, b, c) > 0, the points left of the directed line a -> b, and the
@@ -112,6 +113,39 @@ def point_masks(coords: list[tuple[int, int]], p: int) -> Optional[list[int]]:
                 return None
         masks[b] = mask
     return masks
+
+
+def pair_masks(coords: list[tuple[int, int]],
+               pairs: Iterable[tuple[int, int]]) -> Optional[list[int]]:
+    """The masks of the listed directed pairs (a, b) of an integer coordinate list.
+
+    Entry i is the bitmask of the points c with orient(a, b, c) > 0 for the
+    i-th pair, the entry ``a*n + b`` of :func:`side_masks`. Returns None
+    when a listed pair coincides or its line passes through a third point.
+    One determinant per pair and point, so a check that reads a few lines
+    skips the full table.
+    """
+    points = list(zip(coords, [1 << i for i in range(len(coords))]))
+    out = []
+    for a, b in pairs:
+        ax, ay = coords[a]
+        ux = coords[b][0] - ax
+        uy = coords[b][1] - ay
+        if not (ux or uy):
+            return None
+        k = ux * ay - uy * ax  # orient(a, b, c) = ux*cy - uy*cx - k
+        mask = 0
+        on_line = 0
+        for (x, y), bit in points:
+            det = ux * y - uy * x
+            if det > k:
+                mask |= bit
+            elif det == k:
+                on_line += 1
+        if on_line > 2:  # a and b themselves are on the line
+            return None
+        out.append(mask)
+    return out
 
 
 def update_point_masks(left: list[int], sides: list[int], p: int, masks: list[int]) -> None:

@@ -13,11 +13,22 @@ exhaustive checks certify a spacing:
 ``choose_epsilon`` halves a spacing until both checks pass, so emitted sets
 carry a machine-verified certificate rather than an asymptotic argument.
 
-Both checks read the replica's ``PointSet.side_masks``, the one way a point
-set reaches the kernel; that one pass is also the replica's general-position
-check, and the replica keeps it for its crossing graph. Cluster isolation is
-a few mask operations per intra-cluster segment and outside point, and copy
-order one subset test per line through two copies.
+Both checks read the replica's ``PointSet.side_masks``; that one pass is
+also the replica's general-position check, and the replica keeps it for its
+crossing graph. Cluster isolation is a few mask operations per intra-cluster
+segment and outside point, and copy order one mask test per line through two
+copies.
+
+Most spacings the search tries fail, so it screens each one before building
+its replica. The screen reads only the lines through two copies of one
+source and the lines through two sources, with ``chirotope.pair_masks`` on
+integer coordinates it builds from the source and eps. It refutes a spacing
+that collides coordinates or puts a third point on one of those lines,
+breaks copy order, or lets a segment between two sources cross a segment
+between two copies of a third. A refuted spacing is halved at once. Only the
+full pass accepts a spacing, so the search returns the spacing, replica and
+certificate it would return without the screen. An explicit epsilon is never
+screened.
 """
 
 from __future__ import annotations
@@ -25,8 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
+from .chirotope import pair_masks
 from .errors import (
     DegenerateEpsilonError,
     EpsilonSearchError,
@@ -183,34 +196,126 @@ def verify_cluster_isolation(S2: PointSet, cmap: CopyMap) -> bool:
     return True
 
 
+def _copy_order_lines(S: PointSet, cmap: CopyMap,
+                      x: Sequence[Coord]) -> list[tuple[int, int, int, int]]:
+    """The lines copy order reads: (v, u, lower, others) per two copies u, v of one source.
+
+    ``x`` orders each pair, x[u] < x[v]. ``others`` holds the copies of
+    every other source and ``lower`` those of the sources below. The line
+    through u and v passes strictly above every lower copy and strictly
+    below every other one iff the mask of (v, u), the points below it,
+    meets ``others`` in exactly ``lower``.
+    """
+    every = (1 << len(cmap)) - 1
+    lines = []
+    lower = 0
+    # sources have pairwise distinct y, as replication requires
+    for src in sorted(range(len(S)), key=lambda i: S[i].y):
+        cluster = cmap.copies_of(src)
+        own = sum(1 << i for i in cluster)
+        for u, v in combinations(cluster, 2):
+            if x[u] > x[v]:
+                u, v = v, u
+            lines.append((v, u, lower, every ^ own))
+        lower |= own
+    return lines
+
+
+def _copy_order_holds(lines: list[tuple[int, int, int, int]], masks: Sequence[int]) -> bool:
+    """Copy order from the masks of the pairs (v, u) of :func:`_copy_order_lines`."""
+    return all(mask & others == lower for (_, _, lower, others), mask in zip(lines, masks))
+
+
 def verify_copy_order(S: PointSet, S2: PointSet, cmap: CopyMap) -> bool:
     """Exhaustive check that copy clusters respect the vertical order of their sources.
 
     For sources p above q, every line through two distinct copies of p must
-    pass strictly above every copy of q; symmetrically when p is below q.
-    ``S2`` must be in general position and ``cmap`` must map it onto ``S``.
+    pass strictly above every copy of q, and every line through two copies
+    of q strictly below every copy of p. ``S2`` must be in general position
+    and ``cmap`` must map it onto ``S``.
 
     A point lies strictly below the line through copies u, v with
-    x_u < x_v iff it lies left of v -> u, so every copy of a lower source
-    must be in the side mask of (v, u).
+    x_u < x_v iff it lies left of v -> u, so of the copies of other
+    sources the side mask of (v, u) must hold exactly those of the lower
+    ones.
     """
     _check_copy_map(S2, cmap)
     if cmap.source_n != len(S):
         raise ValueError(f"copy map has {cmap.source_n} sources, source set has {len(S)} points")
     left = S2.side_masks
     n2 = len(S2)
-    lower = 0  # copies of every source below the current one
-    # sources have pairwise distinct y, as replication requires
-    for src in sorted(range(len(S)), key=lambda i: S[i].y):
-        cluster = cmap.copies_of(src)
-        for u, v in combinations(cluster, 2):
-            if S2[u].x > S2[v].x:
-                u, v = v, u
-            if lower & ~left[v * n2 + u]:
-                return False
-        for i in cluster:
-            lower |= 1 << i
-    return True
+    lines = _copy_order_lines(S, cmap, [p.x for p in S2])
+    return _copy_order_holds(lines, [left[v * n2 + u] for v, u, _, _ in lines])
+
+
+class _SpacingScreen:
+    """Refutes failing spacings of the full replica from a few of its lines.
+
+    A refuted spacing makes :func:`_replica` raise
+    :class:`DegenerateEpsilonError` or return an uncertified certificate;
+    a spacing not refuted may still fail there. The screen works on the
+    replica laid out copy-major, copy i of source s at index ``i*n + s``,
+    so its first n points are the sources. The coordinates are integers:
+    x is scaled by a common denominator of the source x and eps, y of the
+    source y and eps^2, one positive scale per axis, which keeps every
+    orientation. A spacing is refuted when
+
+    * two points share an x or a y, or one of the lines read passes
+      through a third point;
+    * a line through two copies of one source breaks copy order, by the
+      predicate of :func:`verify_copy_order`;
+    * a segment between two sources crosses a segment between two copies
+      of a third source s, which breaks cluster isolation: the line of the
+      sources a, b splits the copies of s, and the line through a copy q
+      left of it and a copy r right of it separates a from b.
+    """
+
+    def __init__(self, S: PointSet, m: int):
+        self._n, self._m = len(S), m
+        self._lx = lcm(*(p.x.denominator for p in S))
+        self._ly = lcm(*(p.y.denominator for p in S))
+        self._x = [int(p.x * self._lx) for p in S]
+        self._y = [int(p.y * self._ly) for p in S]
+        cmap = CopyMap(tuple((s, i) for i in range(m) for s in range(len(S))), len(S))
+        # copy i lies at x + i*eps, so copy numbers order the x of a cluster
+        self._lines = _copy_order_lines(S, cmap, [i for _, i in cmap.entries])
+        self._line_pairs = [(v, u) for v, u, _, _ in self._lines]
+        self._line_index = {(u, v): i for i, (v, u) in enumerate(self._line_pairs)}
+        self._source_pairs = list(combinations(range(len(S)), 2))
+
+    def refutes(self, eps: Fraction) -> bool:
+        """True when the full replica at spacing ``eps`` cannot be certified."""
+        n, m = self._n, self._m
+        ex = eps * self._lx
+        ey = eps * eps * self._ly
+        xs = [x * ex.denominator + i * ex.numerator for i in range(m) for x in self._x]
+        ys = [y * ey.denominator + i * i * ey.numerator for i in range(m) for y in self._y]
+        if len(set(xs)) < len(xs) or len(set(ys)) < len(ys):
+            return True
+        coords = list(zip(xs, ys))
+        lines = pair_masks(coords, self._line_pairs)
+        if lines is None or not _copy_order_holds(self._lines, lines):
+            return True
+        sources = pair_masks(coords, self._source_pairs)
+        if sources is None:
+            return True
+        layer = (1 << n) - 1  # one copy of every source
+        for (a, b), mask in zip(self._source_pairs, sources):
+            split = 0  # sources with copies on both sides of a -> b
+            for shift in range(n, n * m, n):
+                split |= (mask >> shift ^ mask) & layer
+            split &= ~(1 << a | 1 << b)
+            while split:
+                low = split & -split
+                split ^= low
+                s = low.bit_length() - 1
+                copies = range(s, n * m, n)
+                for q, r in combinations(copies, 2):
+                    if (mask >> q ^ mask >> r) & 1:
+                        line = lines[self._line_index[q, r]]
+                        if (line >> a ^ line >> b) & 1:
+                            return True
+        return False
 
 
 def choose_epsilon(S: PointSet, m: int) -> Coord:
@@ -221,6 +326,11 @@ def choose_epsilon(S: PointSet, m: int) -> Coord:
     certification checks; capped at 64 halvings. Deterministic by
     construction, and guaranteed to terminate because all sufficiently small
     spacings work.
+
+    Each spacing is screened first (:class:`_SpacingScreen`): one the screen
+    refutes would fail those checks, so it is halved without building its
+    replica. A spacing is accepted only when its full replica passes, so
+    the screen changes which replicas are built, never the result.
     """
     return replicate_certified(S, m)[2].epsilon
 
@@ -242,14 +352,16 @@ def replicate_certified(
     gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
     gaps += [abs(p.y - q.y) for p, q in combinations(S, 2)]
     eps = Fraction(min(gaps)) / (4 * m) if gaps else Fraction(1, 4 * m)
+    screen = _SpacingScreen(S, m)
     for _ in range(65):
-        try:
-            replica = _replica(S, m, eps, None)
-        except DegenerateEpsilonError:
-            eps /= 2
-            continue
-        if replica[2].certified:
-            return replica if total is None else _replica(S, m, eps, total)
+        if not screen.refutes(eps):
+            try:
+                replica = _replica(S, m, eps, None)
+            except DegenerateEpsilonError:
+                pass
+            else:
+                if replica[2].certified:
+                    return replica if total is None else _replica(S, m, eps, total)
         eps /= 2
     raise EpsilonSearchError(f"no certified spacing found for n={len(S)}, m={m}")
 

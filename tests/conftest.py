@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 import crossfam
 from crossfam import chirotope
 from crossfam.crossing import CliqueSearch
+from crossfam.errors import DegenerateEpsilonError, EpsilonSearchError
 from crossfam.geometry import PointSet, all_segments, segments_cross
+from crossfam.replication import replicate_certified
 from crossfam.search import random_general_position
 
 
@@ -91,6 +94,26 @@ class ReferenceSearch(CliqueSearch):
                 self._expand(clique, nxt)
             clique.pop()
             cand ^= 1 << v
+
+
+def reference_choose_epsilon(S: PointSet, m: int):
+    """The spacing search with no screen: replicate and certify every spacing tried.
+
+    Same start and halving as :func:`crossfam.replication.choose_epsilon`,
+    each spacing through the explicit-epsilon path; a test oracle for the
+    searched spacing.
+    """
+    gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
+    gaps += [abs(p.y - q.y) for p, q in combinations(S, 2)]
+    eps = Fraction(min(gaps)) / (4 * m) if gaps else Fraction(1, 4 * m)
+    for _ in range(65):
+        try:
+            if replicate_certified(S, m, eps)[2].certified:
+                return eps
+        except DegenerateEpsilonError:
+            pass
+        eps /= 2
+    raise EpsilonSearchError(f"no certified spacing found for n={len(S)}, m={m}")
 
 
 def random_pointset(rng: random.Random, n: int, bound: int = 50) -> PointSet:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from crossfam.chirotope import (
     crossing_rows,
+    pair_masks,
     point_masks,
     refresh_point_rows,
     segment_sides,
@@ -139,6 +140,27 @@ def test_point_masks_match_direct_orientation(coords, data):
         return
     assert masks == [sum(1 << c for c in others if c != b and orientation(S[p], S[b], S[c]) > 0)
                     if b != p else 0 for b in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_sets, st.data())
+def test_pair_masks_match_direct_orientation(coords, data):
+    n = len(coords)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda pair: pair[0] != pair[1]), max_size=8))
+    S = PointSet.from_coords(coords)
+    degenerate = any(coords[a] == coords[b] or any(
+        orientation(S[a], S[b], S[c]) == 0 for c in range(n) if c not in (a, b)
+    ) for a, b in pairs)
+    masks = pair_masks(coords, pairs)
+    if degenerate:
+        assert masks is None
+        return
+    assert masks == [sum(1 << c for c in range(n) if orientation(S[a], S[b], S[c]) > 0)
+                     for a, b in pairs]
+    if collinear_triple(coords) is None:
+        left = side_masks(coords)
+        assert masks == [left[a * n + b] for a, b in pairs]
 
 
 def test_table_holds_sorted_triple_orientations(rng):

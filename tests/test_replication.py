@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,8 @@ from crossfam.geometry import (
 from crossfam.known import DEFAULT_EXTREMAL_LIBRARY, best_known_upper_bound, bound_details
 from crossfam.replication import (
     CopyMap,
+    _replica,
+    _SpacingScreen,
     choose_epsilon,
     contract_family,
     replicate_certified,
@@ -37,7 +39,7 @@ from crossfam.replication import (
 from crossfam.search import random_general_position
 from crossfam.store import bundled_names, load_bundled
 from crossfam.thrackle import GeometricGraph, is_forest, is_geometric_thrackle
-from conftest import random_pointset
+from conftest import random_pointset, reference_choose_epsilon
 
 TRIANGLE = PointSet.from_coords([(0, 0), (4, 1), (1, 4)])
 
@@ -125,6 +127,18 @@ class TestVerifiers:
         S2, cmap, _ = replicate_certified(TRIANGLE, 2, Fraction(1, 2))
         assert not verify_copy_order(TRIANGLE, S2, cmap)
 
+    def test_copy_order_checks_both_directions(self):
+        # trimmed to copy counts 2, 2, 1: no line runs through the copies of
+        # the highest source, yet the line through the two copies of the
+        # lowest one passes above that source's copy: it is right of 0 -> 1
+        S = PointSet.from_coords([(-18, -15), (-16, 10), (12, 12)])
+        S2, cmap, cert = replicate_certified(S, 3, Fraction(21, 8), 5)
+        assert cmap.entries == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0))
+        assert orientation(S2[0], S2[1], S2[4]) == Orientation.CLOCKWISE
+        assert cert.cluster_isolation_ok and not cert.copy_order_ok
+        assert not verify_copy_order(S, S2, cmap)
+        assert not reference_copy_order(S, S2, cmap)
+
     def test_failures_exist_on_coarse_grid(self):
         found_s1 = found_s2 = False
         for num in range(1, 40):
@@ -169,18 +183,19 @@ def reference_cluster_isolation(S2, cmap):
 
 
 def reference_copy_order(S, S2, cmap):
-    """Every line through two copies of a higher source against every lower copy."""
+    """Every line through two copies of one source against every copy of another.
+
+    The line must pass strictly above the copies of a lower source and
+    strictly below those of a higher one.
+    """
     coords = integer_coordinates(S2)
-    for above, below in combinations(range(len(S)), 2):
-        if S[above].y < S[below].y:
-            above, below = below, above
-        elif S[above].y == S[below].y:
-            continue
-        for u, v in combinations(cmap.copies_of(above), 2):
+    for src, other in permutations(range(len(S)), 2):
+        sign = 1 if S[src].y > S[other].y else -1
+        for u, v in combinations(cmap.copies_of(src), 2):
             (ux, uy), (vx, vy) = sorted((coords[u], coords[v]))
-            for w in cmap.copies_of(below):
+            for w in cmap.copies_of(other):
                 wx, wy = coords[w]
-                if (vx - ux) * (wy - uy) - (vy - uy) * (wx - ux) >= 0:
+                if sign * ((vx - ux) * (wy - uy) - (vy - uy) * (wx - ux)) >= 0:
                     return False
     return True
 
@@ -273,6 +288,20 @@ def test_searched_spacing_builds_no_extra_replica(monkeypatch, name, m):
     assert (S2, cmap) == replicate_certified(S, m, eps)[:2]
 
 
+@pytest.mark.parametrize("name", ["n9_cf2", "n14_cf3"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_screen_leaves_one_replica_pass(kernel_passes, name, m):
+    # every failing spacing is refuted before its replica is built: one
+    # side-mask pass checks the source and one certifies the replica
+    S = normalize_coordinates(load_bundled(name)[0])
+    kernel_passes.clear()
+    eps = choose_epsilon(S, m)
+    searched = list(kernel_passes)
+    assert str(eps) == GOLDEN_EPSILON[name][m - 2]
+    S2 = replicate_certified(S, m, eps)[0]
+    assert searched == [tuple(integer_coordinates(S)), tuple(integer_coordinates(S2))]
+
+
 def test_trimmed_replica_keeps_its_table(kernel_passes):
     # the replica carries the table its certificate read; the source is checked once
     S0 = normalize_coordinates(load_bundled("n9_cf2")[0])
@@ -282,6 +311,44 @@ def test_trimmed_replica_keeps_its_table(kernel_passes):
     assert cert.certified and len(S2) == 25 and graph.edge_count > 0
     assert kernel_passes.count(tuple(integer_coordinates(S2))) == 1
     assert kernel_passes.count(tuple(integer_coordinates(S0))) == 1
+
+
+class TestSpacingScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_refuted_spacing_fails_the_full_pass(self, seed):
+        S, m, eps, _ = replication_case(seed)
+        if not _SpacingScreen(S, m).refutes(eps):
+            return
+        try:
+            _, _, cert = _replica(S, m, eps, None)
+        except DegenerateEpsilonError:
+            return
+        assert not cert.certified
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_search_matches_the_unscreened_search(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 7), rng.randint(1, 4)
+        S = normalize_coordinates(random_general_position(n, rng, rng.choice([8, 30, 200])))
+        assert choose_epsilon(S, m) == reference_choose_epsilon(S, m)
+
+    def test_sweep_refutes_every_kind_of_failure(self):
+        # degenerate, copy-order and cluster-isolation failures are each refuted
+        kinds = set()
+        for seed in range(300):
+            S, m, eps, _ = replication_case(seed)
+            if not _SpacingScreen(S, m).refutes(eps):
+                continue
+            try:
+                _, _, cert = _replica(S, m, eps, None)
+            except DegenerateEpsilonError:
+                kinds.add("degenerate")
+                continue
+            assert not cert.certified
+            kinds.add("isolation" if cert.copy_order_ok else "copy order")
+        assert kinds == {"degenerate", "copy order", "isolation"}
 
 
 class TestCopyMapMustDescribeReplica:
