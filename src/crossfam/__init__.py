@@ -91,16 +91,14 @@ _EXPORTS = {
         "random_general_position",
         "seed_by_doubling",
     ),
-    "known": ("KNOWN_VALUES", "KnownValue", "best_known_upper_bound", "bound_details", "known_bounds"),
+    "known": ("DEFAULT_EXTREMAL_LIBRARY", "KNOWN_VALUES", "KnownValue",
+              "best_known_upper_bound", "bound_details", "known_bounds"),
     "store": ("bundled_names", "load_bundled"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
 
-# DEFAULT_EXTREMAL_LIBRARY is derived from the bundled files on first access, so
-# it stays out of __all__: a star import reads no file.
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
-_SOURCES["DEFAULT_EXTREMAL_LIBRARY"] = "known"
 
 _SUBMODULES = frozenset(_EXPORTS) | {"chirotope", "formats"}
 

@@ -257,23 +257,29 @@ def crossing_rows(left: Sequence[int], n: int) -> list[int]:
 
 
 def refresh_point_rows(adj: list[int], left: Sequence[int], sides: Sequence[int],
-                       n: int, p: int) -> None:
+                       n: int, p: int) -> list[tuple[int, int]]:
     """Rebuild the crossings of the segments through ``p`` after it moved.
 
     ``left`` and ``sides`` already hold the new position. Two segments
     sharing ``p`` never cross, so every changed crossing pairs one segment
     through ``p`` with one avoiding it: the n-1 rows through ``p`` are
     recomputed, and in the other rows only the columns of those segments
-    whose crossing flipped are toggled.
+    whose crossing flipped are toggled. Returns the (old row, new row) pair
+    of each row through ``p`` that changed.
     """
     off = _segment_offsets(n)
     pairs = [(p, q) if p < q else (q, p) for q in range(n) if q != p]
+    changed = []
     for (a, b), row in zip(pairs, _rows(left, n, sides, pairs)):
         i = off[a] + b
         flipped = adj[i] ^ row
+        if not flipped:
+            continue
+        changed.append((adj[i], row))
         adj[i] = row
         col = 1 << i
         while flipped:
             low = flipped & -flipped
             adj[low.bit_length() - 1] ^= col
             flipped ^= low
+    return changed

@@ -184,7 +184,8 @@ def _cmd_plot(args):
     family = ()
     if args.witness:
         k, family = formats.parse_witness(Path(args.witness).read_text(encoding="utf-8"))
-        if len(family) != k or not is_crossing_family(S, family):
+        # is_crossing_family first: it rejects an index out of range even when k disagrees
+        if not is_crossing_family(S, family) or len(family) != k:
             print("warning: witness file is not a valid crossing family here",
                   file=sys.stderr)
     out = args.output or str(Path(args.pointset).with_suffix(".svg"))

@@ -11,7 +11,6 @@ cf(n) <= k * ceil(n / s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional, Sequence
 
 from .store import bundled_names, load_bundled
@@ -36,44 +35,34 @@ KNOWN_VALUES: tuple[KnownValue, ...] = (
 
 #: Library entries without a bundled set, (k, point count) -> source.
 _CITED: dict[tuple[int, int], str] = {
-    **dict.fromkeys([(4, 20), (5, 25), (6, 29), (7, 34), (9, 45), (10, 50)],
+    **dict.fromkeys([(5, 25), (6, 29), (7, 34), (9, 45), (10, 50)],
                     "no source recorded in this repository"),
     (8, 41): "arXiv:2109.10705",
 }
 
+#: (k, point count) -> source of every library entry, in ascending order.
+_LIBRARY_SOURCES: dict[tuple[int, int], str] = dict(sorted({
+    **_CITED,
+    **{(cf, len(S)): f"bundled set {name}"
+       for name in bundled_names() for S, cf in [load_bundled(name)]},
+}.items()))
 
-@cache
-def _library_provenance() -> dict[tuple[int, int], str]:
-    """(k, point count) -> source of every library entry, in ascending order."""
-    bundled = {}
-    for name in bundled_names():
-        S, cf = load_bundled(name)
-        bundled[cf, len(S)] = f"bundled set {name}"
-    return dict(sorted({**_CITED, **bundled}.items()))
-
-
-def __getattr__(name: str):
-    # DEFAULT_EXTREMAL_LIBRARY, the (k, point count) pairs of the largest known point
-    # sets whose maximum crossing family has size k (optimal for k <= 3), is derived
-    # on first access so that importing the package reads no bundled file.
-    if name == "DEFAULT_EXTREMAL_LIBRARY":
-        return tuple(_library_provenance())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: The (k, point count) pairs of the largest known point sets whose maximum
+#: crossing family has size k (optimal for k <= 3).
+DEFAULT_EXTREMAL_LIBRARY: tuple[tuple[int, int], ...] = tuple(_LIBRARY_SOURCES)
 
 
 def bound_details(
-    n: int, library: Optional[Sequence[tuple[int, int]]] = None
+    n: int, library: Sequence[tuple[int, int]] = DEFAULT_EXTREMAL_LIBRARY
 ) -> tuple[int, Optional[tuple[int, int]]]:
     """Best replication upper bound and the library entry achieving it.
 
-    ``library`` defaults to ``DEFAULT_EXTREMAL_LIBRARY``. Each entry (k, s)
-    certifies that every set of n points has a subset or replication witness
-    forcing cf(n) <= k * ceil(n / s) (subsets of the witness set cover
-    n <= s). The trivial cap floor(n/2) from endpoint disjointness also
-    competes; when it alone wins the entry is ``None``.
+    Each entry (k, s) of ``library`` certifies that every set of n points
+    has a subset or replication witness forcing cf(n) <= k * ceil(n / s)
+    (subsets of the witness set cover n <= s). The trivial cap floor(n/2)
+    from endpoint disjointness also competes; when it alone wins the entry
+    is ``None``.
     """
-    if library is None:
-        library = tuple(_library_provenance())
     if not library:
         raise ValueError("empty bound library")
     if n < 1:
@@ -90,7 +79,9 @@ def bound_details(
     return best, winner
 
 
-def best_known_upper_bound(n: int, library: Optional[Sequence[tuple[int, int]]] = None) -> int:
+def best_known_upper_bound(
+    n: int, library: Sequence[tuple[int, int]] = DEFAULT_EXTREMAL_LIBRARY
+) -> int:
     """min over the library of k * ceil(n / s), capped by floor(n / 2)."""
     return bound_details(n, library)[0]
 
@@ -113,7 +104,7 @@ def entry_source(entry: Optional[tuple[int, int]]) -> Optional[str]:
 
     ``None`` stands for the floor(n/2) endpoint cap, which needs no source.
     """
-    return None if entry is None else _library_provenance()[entry]
+    return None if entry is None else _LIBRARY_SOURCES[entry]
 
 
 def known_provenance(n: int) -> str:

@@ -47,6 +47,7 @@ from .errors import (
     SameSourceSegmentError,
 )
 from .geometry import (
+    _EXACT_TYPES,
     Coord,
     Point,
     PointSet,
@@ -95,8 +96,12 @@ def _check_replication_input(S: PointSet, m: int, epsilon: Optional[Coord]) -> N
     """Reject a copy count, a given spacing or a source set unfit for replication."""
     if m < 1:
         raise ValueError("copy count must be at least 1")
-    if epsilon is not None and Fraction(epsilon) <= 0:
-        raise ValueError("epsilon must be positive")
+    if epsilon is not None:
+        # a float would be replicated as its binary expansion but recorded as given
+        if not isinstance(epsilon, _EXACT_TYPES):
+            raise TypeError(f"exact spacing required, got {type(epsilon).__name__}")
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
     if not is_general_position(S):
         raise NotGeneralPositionError("source set must be in general position")
     if not has_distinct_coordinates(S):
@@ -341,8 +346,8 @@ def replicate_certified(
     """Replace each point by ``m`` copies on a parabolic arc, with a certificate.
 
     ``epsilon`` defaults to the spacing :func:`choose_epsilon` finds; an
-    explicit one is emitted even when the certification checks fail -- the
-    certificate records the outcomes. ``total`` optionally trims the output
+    explicit one, an int or a Fraction, is emitted even when the
+    certification checks fail -- the certificate records the outcomes. ``total`` optionally trims the output
     to exactly that many points by dropping the highest copy numbers of the
     last source points.
     """

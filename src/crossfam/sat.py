@@ -395,9 +395,9 @@ def parse_model(text: str, num_vars: int) -> Assignment:
             values[var] = lit > 0
         if done:
             break
-    asg: Assignment = [False] * (num_vars + 1)
-    for var in range(1, num_vars + 1):
-        if var not in values:
-            raise ParseError(f"model does not assign variable {var}")
-        asg[var] = values[var]
-    return asg
+    # every key is in 1..num_vars, so the first unassigned variable, if any,
+    # is at most len(values) + 1: no table of num_vars entries before the check
+    if len(values) < num_vars:
+        missing = next(var for var in range(1, len(values) + 2) if var not in values)
+        raise ParseError(f"model does not assign variable {missing}")
+    return [False] + [values[var] for var in range(1, num_vars + 1)]

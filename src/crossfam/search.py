@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .chirotope import (
-    _segment_offsets,
     crossing_rows,
     point_masks,
     refresh_point_rows,
@@ -188,26 +187,21 @@ def perturb(
     return PointSet.from_coords(coords)
 
 
-def _objective_delta(old_rows: list[int], new_rows: list[int], n: int, p: int, k: int) -> int:
-    """Change in the number of k-cliques when only the rows through point ``p`` changed.
+def _objective_delta(adj: list[int], changed: list[tuple[int, int]], k: int) -> int:
+    """Change in the number of k-cliques made by one point's move.
 
-    ``old_rows`` and ``new_rows`` are the crossing graphs before and after
-    ``p`` moved. Every family that changes holds one segment s through p;
-    the rest is a (k-1)-clique of segments avoiding p, whose crossings are
-    the same in both graphs. So the change at s is the cliques of its new
-    neighbourhood that meet a gained neighbour minus the cliques of its old
-    neighbourhood that meet a lost one.
+    ``adj`` is the crossing graph after the move and ``changed`` the (old
+    row, new row) pairs :func:`refresh_point_rows` returned for it. Every
+    family that changes holds one segment s through the moved point; the
+    rest is a (k-1)-clique of segments avoiding that point, whose crossings
+    are the same before and after. So the change at s is the cliques of its
+    new neighbourhood that meet a gained neighbour minus the cliques of its
+    old neighbourhood that meet a lost one.
     """
-    off = _segment_offsets(n)
     delta = 0
-    for q in range(n):
-        if q == p:
-            continue
-        i = off[min(p, q)] + max(p, q)
-        old, new = old_rows[i], new_rows[i]
-        if old != new:
-            delta += _count_cliques_meeting(new_rows, k - 1, new, new & ~old)
-            delta -= _count_cliques_meeting(new_rows, k - 1, old, old & ~new)
+    for old, new in changed:
+        delta += _count_cliques_meeting(adj, k - 1, new, new & ~old)
+        delta -= _count_cliques_meeting(adj, k - 1, old, old & ~new)
     return delta
 
 
@@ -269,8 +263,8 @@ def anneal(
                     saved_sides = sides.copy()
                     update_point_masks(left, sides, moved, masks)
                     saved_rows = adj.copy()
-                    refresh_point_rows(adj, left, sides, n, moved)
-                    delta = _objective_delta(saved_rows, adj, n, moved, cfg.k)
+                    changed = refresh_point_rows(adj, left, sides, n, moved)
+                    delta = _objective_delta(adj, changed, cfg.k)
                 improved = False
                 if delta <= 0 or (
                     temperature > 0

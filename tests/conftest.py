@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 import crossfam
 from crossfam import chirotope
@@ -155,3 +156,44 @@ NINE_POINT_CF2 = (
     (-28, -5), (-61, -4), (12, 50), (24, -16), (-17, 9),
     (-29, 2), (72, -44), (-77, -9), (5, 17),
 )
+
+
+# Values and keys that format_texts writes into the lines of a template text.
+# Hypothesis draws the first entries most often; the 31-digit count is among
+# them, since a table sized by a count that large cannot be allocated.
+_VALUES = ["1000000000000000000000000000000", "0", "1", "2", "3", "-1", "7", "1/2", "-3/4",
+           "1/0", "2/-3", "0/5", "+3", "1_0", "03", "x", "1.5", "nan", "inf", "-inf", "1e400",
+           "0x10", "/", "1/", "--1", "\u0663", "true", "false", "True", "9" * 5000]
+_KEYS = ["k", "edges", "initial", "epsilon", "m", "source_n", "cluster_isolation", "copy_order",
+         "n", "seed", "iterations", "initial_temperature", "cooling_rate", "step_sigma",
+         "grid_bound"]
+
+
+@st.composite
+def format_texts(draw, template):
+    """Texts near a well-formed ``template``: up to three lines changed, or any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=60))
+    lines = template.splitlines()
+    line = st.one_of(
+        st.lists(st.sampled_from(_VALUES + _KEYS + ["=", ":", "#"]), max_size=4).map(" ".join),
+        st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", ":", " = ", ": "]),
+                  st.sampled_from(_VALUES)).map("".join),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        # half the changes hit the first line, the count or header of each format
+        i = draw(st.one_of(st.just(0), st.integers(0, len(lines))))
+        action = draw(st.sampled_from(["revalue", "revalue", "insert", "replace", "delete"]))
+        if action == "insert" or i == len(lines):
+            lines.insert(i, draw(line))
+        elif action == "replace":
+            lines[i] = draw(line)
+        elif action == "revalue":  # a new value for one number of the line, or any token
+            tokens = lines[i].split() or [""]
+            numbers = [j for j, tok in enumerate(tokens) if any(map(str.isdigit, tok))]
+            j = draw(st.sampled_from(numbers or range(len(tokens))))
+            tokens[j] = draw(st.sampled_from(_VALUES))
+            lines[i] = " ".join(tokens)
+        else:
+            del lines[i]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))

@@ -189,7 +189,10 @@ def test_moved_point_updates_match_full_rebuild(n):
             assert left == side_masks(coords)
             continue
         update_point_masks(left, sides, p, masks)
-        refresh_point_rows(rows, left, sides, n, p)
+        before = rows.copy()
+        changed = refresh_point_rows(rows, left, sides, n, p)
+        through_p = [i for i, (a, b) in enumerate(combinations(range(n), 2)) if p in (a, b)]
+        assert changed == [(before[i], rows[i]) for i in through_p if before[i] != rows[i]]
         assert left == side_masks(coords)
         assert sides == segment_sides(left, n)
         assert rows == crossing_rows(left, n)

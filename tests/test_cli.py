@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossfam
 from crossfam.cli import main
@@ -18,10 +22,16 @@ from crossfam.formats import (
     parse_certificate,
     parse_witness,
 )
-from crossfam.geometry import Segment, convex_position_points
+from crossfam.geometry import PointSet, Segment, convex_position_points, normalize_coordinates
 from crossfam.search import SearchConfig
-from crossfam.sat import emit_dimacs, encode_no_k_family, parse_dimacs
-from conftest import NINE_POINT_CF2
+from crossfam.sat import (
+    assignment_from_pointset,
+    emit_dimacs,
+    encode_no_k_family,
+    parse_dimacs,
+    verify_assignment,
+)
+from conftest import NINE_POINT_CF2, format_texts
 
 
 @pytest.fixture
@@ -251,6 +261,15 @@ class TestEncodeVerify:
         assert code == 1 and out == ""
         assert err == message + "\n"
 
+    def test_verify_model_huge_variable_count(self, capsys, tmp_path):
+        cnf_path = tmp_path / "huge.cnf"
+        cnf_path.write_text("p cnf 1000000000000000000000000000000 1\n1 0\n")
+        model = tmp_path / "model.txt"
+        model.write_text("v 1 0\n")
+        code, out, err = run(capsys, "verify-model", str(cnf_path), str(model))
+        assert code == 1 and out == ""
+        assert err == "error: model does not assign variable 2\n"
+
     def test_from_points_satisfied(self, capsys, tmp_path):
         pts = tmp_path / "nine.txt"
         from crossfam.geometry import PointSet
@@ -361,6 +380,19 @@ class TestPlot:
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: point index 7 out of range for 5 points\n"
+        assert not out_path.exists()
+
+    def test_witness_out_of_range_with_wrong_size_is_one_line_error(
+        self, capsys, pentagon_file, tmp_path
+    ):
+        # the size disagrees with the one segment listed; the range is checked all the same
+        witness = tmp_path / "w.txt"
+        witness.write_text("k = 2\n0 7\n")
+        out_path = tmp_path / "plot.svg"
+        code, out, err = run(capsys, "plot", pentagon_file, "-o", str(out_path),
+                             "--witness", str(witness))
+        assert (code, out) == (1, "")
+        assert err == "error: point index 7 out of range for 5 points\n"
         assert not out_path.exists()
 
 
@@ -489,3 +521,60 @@ def test_byte_stable_output(capsys, pentagon_file):
     first = run(capsys, "cf", pentagon_file)
     second = run(capsys, "cf", pentagon_file)
     assert first == second
+
+
+def _fuzz_sat_texts() -> tuple[str, str]:
+    """The DIMACS text of encode(6, 3) and a model of it, ten literals a line."""
+    cnf, vm = encode_no_k_family(6, 3)
+    S = normalize_coordinates(PointSet.from_coords(NINE_POINT_CF2[:6]))
+    asg = assignment_from_pointset(S, vm)
+    assert verify_assignment(cnf, asg) is None
+    out = io.BytesIO()
+    emit_dimacs(cnf, out)
+    lits = [str(v if asg[v] else -v) for v in range(1, vm.num_vars + 1)] + ["0"]
+    model = "".join("v " + " ".join(lits[i:i + 10]) + "\n" for i in range(0, len(lits), 10))
+    return out.getvalue().decode("ascii"), model
+
+
+# Well-formed inputs of the file-reading subcommands, which format_texts mutates.
+_FUZZ_POINTSET = "5\n0 0\n4 1\n5 4\n2 6\n-1 3\n"
+_FUZZ_WITNESS = "k = 2\n0 2\n1 3\n"
+_FUZZ_GRAPH = "4\n0 0\n2 0\n1/2 1\n-1 3/4\nedges\n0 1\n2 3\n"
+_FUZZ_CNF, _FUZZ_MODEL = _fuzz_sat_texts()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# search is left out: its parser is fuzzed in test_formats, and a drawn n or
+# iteration count could run without end
+@pytest.mark.parametrize("argv, templates", [
+    (["cf", "{pointset}"], {"pointset": _FUZZ_POINTSET}),
+    (["decide", "{pointset}", "--k", "3"], {"pointset": _FUZZ_POINTSET}),
+    (["count", "{pointset}", "--k", "3"], {"pointset": _FUZZ_POINTSET}),
+    (["thrackle", "{graph}"], {"graph": _FUZZ_GRAPH}),
+    (["verify-model", "{cnf}", "{model}"], {"cnf": _FUZZ_CNF, "model": _FUZZ_MODEL}),
+    (["from-points", "{pointset}", "--k", "3"], {"pointset": _FUZZ_POINTSET}),
+    (["double", "{pointset}", "--m", "2", "-o", "{out}"], {"pointset": _FUZZ_POINTSET}),
+    (["plot", "{pointset}", "--witness", "{witness}", "-o", "{out}"],
+     {"pointset": _FUZZ_POINTSET, "witness": _FUZZ_WITNESS}),
+], ids=["cf", "decide", "count", "thrackle", "verify-model", "from-points", "double", "plot"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_subcommand_on_malformed_files_exits_0_1_or_2(fuzz_dir, argv, templates, data):
+    # one file changed per run, so that each parser is reached with the others' files valid
+    changed = data.draw(st.sampled_from(sorted(templates)), label="changed")
+    paths = {"out": fuzz_dir / "out.txt"}
+    for name, template in templates.items():
+        text = data.draw(format_texts(template), label=name) if name == changed else template
+        paths[name] = fuzz_dir / f"{name}.txt"
+        paths[name].write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            status = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            assert status in (0, 1)

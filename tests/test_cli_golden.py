@@ -230,7 +230,7 @@ GOLDEN = {
     'bound 100 --json': (
         0,
         '{"bound": 20, "command": "bound", "entry": [4, 20], "n": 100, "schema": '
-        '"crossfam/1", "source": "no source recorded in this repository"}\n',
+        '"crossfam/1", "source": "bundled set n20_cf4"}\n',
         '',
         {},
     ),

@@ -27,7 +27,7 @@ from crossfam.geometry import PointSet, Segment
 from crossfam.replication import ReplicationCertificate
 from crossfam import search
 from crossfam.search import SearchConfig
-from conftest import random_pointset
+from conftest import format_texts, random_pointset
 
 
 class TestWriteAtomic:
@@ -241,43 +241,12 @@ def test_parse_coord_forms():
         parse_coord("a/b")
 
 
-# A well-formed text of each format, which the strategy below mutates line by line.
+# A well-formed text of each format, which format_texts mutates line by line.
 _POINTSET = "3\n0 0\n1 0\n0 1\n"
 _WITNESS = "k = 2\n0 1\n2 3\n"
 _GRAPH = "4\n0 0\n2 0\n1/2 1\n-1 3/4\nedges\n0 1\n2 3\n"
 _CERTIFICATE = "epsilon: 1/8\nm: 2\nsource_n: 5\ncluster_isolation: true\ncopy_order: false\n"
 _CONFIG = "n = 8\nk = 3\nseed = 0\niterations = 10\nstep_sigma = 2.5\ngrid_bound = 64\n"
-_VALUES = ["0", "1", "2", "3", "-1", "7", "1/2", "-3/4", "1/0", "2/-3", "0/5", "+3", "1_0", "03",
-           "x", "1.5", "nan", "inf", "-inf", "1e400", "0x10", "/", "1/", "--1", "\u0663",
-           "true", "false", "True", "9" * 5000]
-_KEYS = ["k", "edges", "initial", "epsilon", "m", "source_n", "cluster_isolation", "copy_order",
-         "n", "seed", "iterations", "initial_temperature", "cooling_rate", "step_sigma",
-         "grid_bound"]
-
-
-@st.composite
-def format_texts(draw, template):
-    """Texts near a well-formed ``template``: up to three lines changed, or any text."""
-    if draw(st.integers(0, 9)) == 0:
-        return draw(st.text(max_size=60))
-    lines = template.splitlines()
-    line = st.one_of(
-        st.lists(st.sampled_from(_VALUES + _KEYS + ["=", ":", "#"]), max_size=4).map(" ".join),
-        st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", ":", " = ", ": "]),
-                  st.sampled_from(_VALUES)).map("".join),
-    )
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(lines)))
-        action = draw(st.sampled_from(["revalue", "revalue", "insert", "replace", "delete"]))
-        if action == "insert" or i == len(lines):
-            lines.insert(i, draw(line))
-        elif action == "replace":
-            lines[i] = draw(line)
-        elif action == "revalue":  # a new last token
-            lines[i] = lines[i].rpartition(" ")[0] + " " + draw(st.sampled_from(_VALUES))
-        else:
-            del lines[i]
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestParserProperties:

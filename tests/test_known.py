@@ -1,7 +1,4 @@
 import hashlib
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -86,14 +83,14 @@ class TestDerivedTables:
     @pytest.mark.parametrize("name", bundled_names())
     def test_every_bundled_set_is_a_library_entry(self, name):
         S, cf = load_bundled(name)
-        assert known._library_provenance()[cf, len(S)] == f"bundled set {name}"
+        assert known._LIBRARY_SOURCES[cf, len(S)] == f"bundled set {name}"
 
     def test_cited_entries_do_not_restate_bundled_sets(self):
         bundled_k = {load_bundled(name)[1] for name in bundled_names()}
         assert bundled_k.isdisjoint(k for k, _ in known._CITED)
 
     def test_every_entry_has_a_source(self):
-        sources = known._library_provenance()
+        sources = known._LIBRARY_SOURCES
         assert tuple(sources) == DEFAULT_EXTREMAL_LIBRARY
         assert all(sources.values())
         assert sources[8, 41] == "arXiv:2109.10705"
@@ -104,16 +101,12 @@ class TestDerivedTables:
             with pytest.raises(AttributeError):
                 module.NO_SUCH_TABLE
 
-    def test_import_reads_no_bundled_file(self):
-        code = ("import crossfam, crossfam.known as k; "
-                "assert k._library_provenance.cache_info().currsize == 0")
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       cwd=Path(crossfam.__file__).resolve().parents[1])
-
     @pytest.mark.parametrize("n,source", [
         (3, "upper bound 1 from a 4-point set with no 2-crossing family (bundled set n4_cf1)"),
         (12, "upper bound 3 from 3 copies of a 4-point set with no 2-crossing family "
              "(bundled set n4_cf1)"),
+        (20, "upper bound 4 from a 20-point set with no 5-crossing family "
+             "(bundled set n20_cf4)"),
         (41, "upper bound 8 from a 41-point set with no 9-crossing family (arXiv:2109.10705)"),
     ])
     def test_provenance_names_both_sources(self, n, source):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -14,6 +15,7 @@ from crossfam.errors import (
     NotGeneralPositionError,
     SameSourceSegmentError,
 )
+from crossfam.formats import format_certificate, parse_certificate
 from crossfam.geometry import (
     Orientation,
     PointSet,
@@ -78,6 +80,12 @@ class TestReplicate:
         S = PointSet.from_coords([(0, 0), (1, 3)])
         with pytest.raises(DegenerateEpsilonError):
             replicate_certified(S, 2, 1)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, Decimal("0.5")])
+    def test_inexact_spacing_rejected(self, eps):
+        # Fraction(0.1) is not 1/10, so the replica would not be the one recorded
+        with pytest.raises(TypeError, match="exact spacing required"):
+            replicate_certified(TRIANGLE, 2, eps)
 
     def test_requires_distinct_coordinates(self):
         S = PointSet.from_coords([(0, 0), (0, 2), (2, 1)])
@@ -256,6 +264,7 @@ GOLDEN_EPSILON = {
     "n4_cf1": ("1/16", "1/24", "1/32"),
     "n9_cf2": ("1/16", "1/48", "1/64"),
     "n14_cf3": ("1/64", "1/96", "1/256"),
+    "n20_cf4": ("7/64", "7/192", "7/512"),
 }
 
 
@@ -264,6 +273,13 @@ def test_golden_epsilon_of_bundled_sets(name):
     assert set(GOLDEN_EPSILON) == set(bundled_names())
     S = normalize_coordinates(load_bundled(name)[0])
     assert tuple(str(choose_epsilon(S, m)) for m in (2, 3, 4)) == GOLDEN_EPSILON[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EPSILON))
+@pytest.mark.parametrize("m", [2, 3])
+def test_searched_certificate_round_trips(name, m):
+    cert = replicate_certified(normalize_coordinates(load_bundled(name)[0]), m)[2]
+    assert parse_certificate(format_certificate(cert)) == cert
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EPSILON))

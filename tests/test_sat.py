@@ -534,6 +534,15 @@ class TestParseModel:
     def test_missing_variable(self):
         with pytest.raises(ParseError):
             parse_model("1 -2", 3)
+        with pytest.raises(ParseError, match="does not assign variable 2$"):
+            parse_model("1 -3", 3)
+
+    def test_huge_variable_count_fails_before_allocating(self):
+        # a 31-digit count must not size a table before the coverage check
+        with pytest.raises(ParseError, match="does not assign variable 2$"):
+            parse_model("v 1 0", 10 ** 30)
+        with pytest.raises(ParseError, match="does not assign variable 3$"):
+            parse_model("v -2 1 4 0", 10 ** 30)
 
     def test_conflicting_literals(self):
         with pytest.raises(ParseError):

@@ -263,7 +263,7 @@ class TestAnneal:
             seen += 1
             if seen == calls:
                 raise KeyboardInterrupt
-            refresh_point_rows(*args)
+            return refresh_point_rows(*args)
 
         monkeypatch.setattr(search, "refresh_point_rows", interrupted_refresh)
         state = anneal(cfg, initial)
@@ -352,10 +352,10 @@ def test_objective_delta_matches_full_recount(coords, k, seed):
     update_point_masks(left, sides, moved, masks)
     assert left == side_masks(coords)
     assert sides == segment_sides(left, n)
-    refresh_point_rows(new_rows, left, sides, n, moved)
+    changed = refresh_point_rows(new_rows, left, sides, n, moved)
     assert new_rows == crossing_rows(left, n)
     assert new_rows == pairwise_rows(PointSet.from_coords(coords))
-    assert _objective_delta(old_rows, new_rows, n, moved, k) \
+    assert _objective_delta(new_rows, changed, k) \
         == _count_cliques(new_rows, k) - _count_cliques(old_rows, k)
 
 
@@ -371,6 +371,9 @@ class TestSeedByDoubling:
         "n14_cf3": ("4ea8a94dabf2fbe41a10ef04622ee1454e94b90289bc56c416c36035a0f7d04f",
                     "abed816a034ce87037aff7608268f8848ba87a424d0d194a40b2cc5f3daa0eab",
                     "761f5cce09be155e978d96bab4807acb469cf88240ce0ce1259d4a40768988a0"),
+        "n20_cf4": ("11d50bc91b6178e562004a096d9b070875ddf68a5e86e1bd479f4a21b346c102",
+                    "aaa137d242fe4ae381a9206b943b9086cb10bbe50a98bde360c17efd31fba925",
+                    "8bc8da6c9e48559eed294ff0c440ec5205afd1ebaa8013ca68313b7ec5503b3c"),
     }
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -11,6 +11,7 @@ def test_expected_bundles_present():
     assert "n4_cf1" in names
     assert "n9_cf2" in names
     assert "n14_cf3" in names
+    assert "n20_cf4" in names
 
 
 @pytest.mark.parametrize("name", bundled_names())
