@@ -29,10 +29,14 @@ Clause groups, in instance order:
 No solver is bundled: instances go out as DIMACS CNF and models come back
 as whitespace-separated signed integers ('v'-prefixed lines tolerated).
 
-The DIMACS text is produced and read in bulk. ``emit_dimacs`` writes the
-header once, then splits each chunk of clauses into runs of equal length and
-formats a run with one ``%``-operation on a repeated ``"%d ... 0\\n"``
-template. ``parse_dimacs`` turns a line that ends in ``0`` while no clause is
+The DIMACS text is produced in bulk and read one slice at a time.
+``emit_dimacs`` writes the header once, then splits each chunk of clauses into
+runs of equal length and formats a run with one ``%``-operation on a repeated
+``"%d ... 0\\n"`` template. ``parse_dimacs`` and ``parse_model`` read the
+lines of ``text.splitlines()`` through ``_lines``, which cuts the text just
+after a ``\\n`` about every ``_READ_SLICE`` characters and splits one slice at
+a time, so only that slice's lines are alive, never a list of every line of
+the text. ``parse_dimacs`` turns a line that ends in ``0`` while no clause is
 pending into a tuple by looking its tokens up in a table of literal texts. The
 table maps the canonical text ``str(v)`` of each nonzero literal in range of
 the problem line to ``v`` (the lowest ones only, when the text is shorter than
@@ -64,6 +68,9 @@ _CROSSING_LITERALS = ((1, 2, 3, 4), (-1, 3, 2, -4), (-2, -3, 1, 4))
 
 #: clauses formatted per write by ``emit_dimacs``
 _EMIT_CHUNK = 65536
+
+#: characters per slice that ``_lines`` splits at once, up to the next ``\n``
+_READ_SLICE = 65536
 
 
 class VarMap:
@@ -214,6 +221,9 @@ def default_dimacs_comments(vm: VarMap, k: Optional[int] = None) -> list[str]:
 def emit_dimacs(cnf: Cnf, out: Union[str, Path, BinaryIO], comments: Iterable[str] = ()) -> None:
     """Write standard DIMACS CNF with LF line endings; byte-identical across runs.
 
+    Each line of a comment, as ``str.splitlines`` cuts it and so as
+    :func:`parse_dimacs` reads it back, is written as its own ``c`` line.
+
     A path is written through :func:`crossfam.formats.write_atomic`: a
     regular file (or a new one) is replaced atomically, so an interrupted
     run leaves an earlier file intact, while a device or pipe such as
@@ -228,7 +238,7 @@ def emit_dimacs(cnf: Cnf, out: Union[str, Path, BinaryIO], comments: Iterable[st
 
 
 def _dimacs_chunks(cnf: Cnf, comments: Iterable[str]) -> Iterator[bytes]:
-    header = [f"c {c}\n" for c in comments]
+    header = [f"c {line}\n" for c in comments for line in c.splitlines()]
     header.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}\n")
     yield "".join(header).encode("ascii")
     clauses = cnf.clauses
@@ -239,6 +249,24 @@ def _dimacs_chunks(cnf: Cnf, comments: Iterable[str]) -> Iterator[bytes]:
             line = "%d " * width + "0\n" if width else " 0\n"
             parts.append(line * len(run) % tuple(chain.from_iterable(run)))
         yield "".join(parts).encode("ascii")
+
+
+def _slices(text: str) -> Iterator[str]:
+    """Consecutive pieces of ``text``, each ending just after a ``\\n`` (the last one may not).
+
+    A cut after ``\\n`` never falls inside a ``\\r\\n`` or a line, so the
+    pieces' ``splitlines()`` chained are the ``splitlines()`` of the text.
+    """
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _READ_SLICE - 1) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split one slice at a time."""
+    return chain.from_iterable(map(str.splitlines, _slices(text)))
 
 
 def _int_token(tok: str, what: str, lineno: int) -> int:
@@ -260,7 +288,7 @@ def parse_dimacs(text: str) -> Cnf:
     # through the checked branch below.
     table: dict[str, int] = {}
     lookup = table.__getitem__
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         toks = raw.split()
         if toks and toks[-1] == "0" and not pending and num_vars is not None:
             try:
@@ -372,13 +400,18 @@ def parse_model(text: str, num_vars: int) -> Assignment:
     """Parse a solver model: whitespace-separated signed ints, optional 0 terminator.
 
     Lines starting with 'c' or 's' are skipped and a leading 'v' token prefix
-    is tolerated. The model must assign every variable 1..num_vars.
+    is tolerated. A status line ``s UNSATISFIABLE`` or ``s UNKNOWN`` raises
+    ``ParseError`` naming the status, since such output holds no model. The
+    model must assign every variable 1..num_vars.
     """
     values: dict[int, bool] = {}
     done = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line[0] in "cs":
+            status = line.split()
+            if status in (["s", "UNSATISFIABLE"], ["s", "UNKNOWN"]):
+                raise ParseError(f"solver reports {status[1]}, not a model", lineno)
             continue
         if line.startswith("v"):
             line = line[1:]

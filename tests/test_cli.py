@@ -261,6 +261,16 @@ class TestEncodeVerify:
         assert code == 1 and out == ""
         assert err == message + "\n"
 
+    @pytest.mark.parametrize("status", ["UNSATISFIABLE", "UNKNOWN"])
+    def test_verify_model_names_a_status_without_a_model(self, capsys, tmp_path, status):
+        cnf_path = tmp_path / "tiny.cnf"
+        emit_dimacs(encode_no_k_family(4, 2)[0], cnf_path)
+        model = tmp_path / "out.txt"
+        model.write_text(f"c solver banner\ns {status}\n")
+        code, out, err = run(capsys, "verify-model", str(cnf_path), str(model))
+        assert code == 1 and out == ""
+        assert err == f"error: line 2: solver reports {status}, not a model\n"
+
     def test_verify_model_huge_variable_count(self, capsys, tmp_path):
         cnf_path = tmp_path / "huge.cnf"
         cnf_path.write_text("p cnf 1000000000000000000000000000000 1\n1 0\n")

@@ -4,13 +4,16 @@ import os
 import random
 import stat
 import threading
+import tracemalloc
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfam import sat
 from crossfam.crossing import max_crossing_family
 from crossfam.errors import ParseError, SignotopeViolationError
 from crossfam.geometry import (
@@ -26,6 +29,7 @@ from crossfam.sat import (
     _EMIT_CHUNK,
     _PAIRING_POSITIONS,
     Cnf,
+    _lines,
     VarMap,
     assignment_from_pointset,
     decode_order_type,
@@ -217,6 +221,14 @@ class TestDimacs:
         sink = io.BytesIO()
         emit_dimacs(Cnf(3, [(1,), (), (-2, 3), (), ()]), sink, comments=["x"])
         assert sink.getvalue() == b"c x\np cnf 3 5\n1 0\n 0\n-2 3 0\n 0\n 0\n"
+
+    def test_multi_line_comments_round_trip(self):
+        # every line break the reader splits on starts a new comment line
+        sink = io.BytesIO()
+        emit_dimacs(Cnf(2, [(1, -2)]), sink, comments=["two\nlines", "cr\rvt\x0bfs\x1cend", "one"])
+        assert sink.getvalue() == (b"c two\nc lines\nc cr\nc vt\nc fs\nc end\nc one\n"
+                                   b"p cnf 2 1\n1 -2 0\n")
+        assert parse_dimacs(sink.getvalue().decode("ascii")).clauses == [(1, -2)]
 
     @pytest.mark.parametrize("text,message", [
         ("p cnf -2 0\n", "line 1: negative variable count -2"),
@@ -412,6 +424,75 @@ class TestDimacsProperties:
         assert _outcome(parse_dimacs, text) == _outcome(reference_parse_dimacs, text)
 
 
+# line breaks of str.splitlines, alone and as \r\n, and whitespace that is
+# not a line break (\xa0), in DIMACS-shaped texts
+_READER_TEXTS = [
+    "",
+    "\n",
+    "p cnf 3 2\n1 -2 0\n3 0",                       # no trailing newline
+    "p cnf 3 2\r\n1 -2 0\r\n3 0\r\n",
+    "p cnf 3 2\r1 -2 0\r3 0\r",                    # lone \r
+    "p cnf 3 2\x0b1 -2 0\x1c3 0\x0c",
+    "p cnf 3 2\x851 -2 0\u20283 0\u2029",
+    "p cnf 3 1\n1\xa0-2 0\n",
+    "c x\r\r\n\n\rp cnf 1 1\n\r\n1 0\n\n",
+    "p cnf 9 1\n" + " ".join(map(str, range(1, 10))) + " 0\n",  # a line longer than a slice
+    "p cnf 2 1\n1 x 0\n",
+    "1 0\np cnf 1 1\n",
+]
+
+
+class TestLineReader:
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @pytest.mark.parametrize("text", _READER_TEXTS)
+    def test_slices_give_the_lines_of_splitlines(self, size, text):
+        with mock.patch.object(sat, "_READ_SLICE", size):
+            assert list(_lines(text)) == text.splitlines()
+            assert _outcome(parse_dimacs, text) == _outcome(reference_parse_dimacs, text)
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_crlf_straddling_a_cut(self, size):
+        # the first `size` characters end in the \r of a \r\n
+        text = "c" * (size - 1) + "\r\np cnf 2 1\r\n1 -2 0\r\n"
+        assert text[size - 1:size + 1] == "\r\n"
+        with mock.patch.object(sat, "_READ_SLICE", size):
+            assert list(sat._slices(text))[0].endswith("\r\n")
+            assert list(_lines(text)) == text.splitlines()
+            assert parse_dimacs(text).clauses == [(1, -2)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(dimacs_texts(), st.sampled_from([1, 2, 7]))
+    def test_parse_agrees_with_reference_at_tiny_slices(self, text, size):
+        with mock.patch.object(sat, "_READ_SLICE", size):
+            assert list(_lines(text)) == text.splitlines()
+            assert _outcome(parse_dimacs, text) == _outcome(reference_parse_dimacs, text)
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_model_lines_at_tiny_slices(self, size):
+        with mock.patch.object(sat, "_READ_SLICE", size):
+            assert parse_model("c x\r\ns SATISFIABLE\r\nv 1 -2\rv 3 0", 3)[1:] == [True, False, True]
+            with pytest.raises(ParseError, match="^line 3: "):
+                parse_model("c x\r\n\x0bv 1 y 0", 3)
+
+    def test_parse_holds_one_slice_of_lines(self):
+        # the parent's line list of the (12, 4) instance peaked 5.9 MiB above
+        # what the parse keeps; one slice of lines and the literal table
+        # stay well under 1 MiB
+        cnf, vm = encode_no_k_family(12, 4)
+        sink = io.BytesIO()
+        emit_dimacs(cnf, sink, comments=default_dimacs_comments(vm, 4))
+        text = sink.getvalue().decode("ascii")
+        del sink
+        tracemalloc.start()
+        try:
+            back = parse_dimacs(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.clauses == cnf.clauses
+        assert peak - kept <= 2 ** 20
+
+
 class TestAssignmentFromPointset:
     def test_realizable_sets_satisfy_axioms_and_crossing_clauses(self, rng):
         for _ in range(25):
@@ -543,6 +624,12 @@ class TestParseModel:
             parse_model("v 1 0", 10 ** 30)
         with pytest.raises(ParseError, match="does not assign variable 3$"):
             parse_model("v -2 1 4 0", 10 ** 30)
+
+    @pytest.mark.parametrize("status", ["UNSATISFIABLE", "UNKNOWN"])
+    def test_status_without_a_model_is_named(self, status):
+        with pytest.raises(ParseError) as excinfo:
+            parse_model(f"c solver output\ns {status}\n", 3)
+        assert str(excinfo.value) == f"line 2: solver reports {status}, not a model"
 
     def test_conflicting_literals(self):
         with pytest.raises(ParseError):
