@@ -170,8 +170,13 @@ def _cmd_search(args):
         comment=f"best of seed {cfg.seed}: {state.best_objective} families of size {cfg.k}",
     )
     formats.save_text(trace_path, formats.format_trace_csv(state.trace))
-    return 0, None, (f"best objective {state.best_objective} "
-                     f"({len(state.trace) - 1} iterations) -> {best_path}\n")
+    status = 0
+    # anneal returns its state on Ctrl-C, and stops early only at objective 0
+    if len(state.trace) <= cfg.iterations and state.best_objective > 0:
+        print(f"interrupted; best objective so far: {state.best_objective}", file=sys.stderr)
+        status = 130
+    return status, None, (f"best objective {state.best_objective} "
+                          f"({len(state.trace) - 1} iterations) -> {best_path}\n")
 
 
 def _cmd_plot(args):

@@ -2,27 +2,31 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .geometry import PointSet, Segment
 
 SIZE = 640  # width and height of the square drawing
-MARGIN = 30.0
+MARGIN = 30
 
 
 def _layout(S: PointSet) -> list[tuple[float, float]]:
-    xs = [float(p.x) for p in S]
-    ys = [float(p.y) for p in S]
-    min_x, max_x = min(xs), max(xs)
-    min_y, max_y = min(ys), max(ys)
-    span = max(max_x - min_x, max_y - min_y, 1e-9)
-    scale = (SIZE - 2 * MARGIN) / span
-    out = []
-    for x, y in zip(xs, ys):
-        px = MARGIN + (x - min_x) * scale
-        py = SIZE - MARGIN - (y - min_y) * scale  # y grows upward
-        out.append((px, py))
-    return out
+    """Canvas positions of the points, in [0, SIZE].
+
+    The layout is exact, since a coordinate may lie beyond float range; only
+    the canvas positions become floats.
+    """
+    xs = [p.x for p in S]
+    ys = [p.y for p in S]
+    min_x, min_y = min(xs), min(ys)
+    span = max(max(xs) - min_x, max(ys) - min_y) or 1
+    scale = Fraction(SIZE - 2 * MARGIN) / span
+    return [
+        (float(MARGIN + (x - min_x) * scale),
+         float(SIZE - MARGIN - (y - min_y) * scale))  # y grows upward
+        for x, y in zip(xs, ys)
+    ]
 
 
 def render_svg(S: PointSet, family: Sequence[Segment] = ()) -> str:

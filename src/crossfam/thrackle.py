@@ -2,16 +2,19 @@
 
 A geometric thrackle is a straight-line drawing in which every two edges
 either share an endpoint or cross properly. Cycle detection here is purely
-combinatorial: a graph contains an even cycle iff some biconnected block
-either is a single even cycle or has more edges than vertices (any such
-block holds two vertices joined by three disjoint paths, two of which have
-lengths of equal parity and so close an even cycle).
+combinatorial and takes one depth-first pass: each back edge closes one
+cycle with the tree path below it. A graph is a forest iff there is no back
+edge, and it contains an even cycle iff one of these cycles is even or two
+of them share an edge (their union then joins two vertices by three
+disjoint paths, two of which have lengths of equal parity and so close an
+even cycle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 from .geometry import PointSet, Segment, convex_position_points, segments_cross
 
@@ -45,65 +48,62 @@ def is_geometric_thrackle(G: GeometricGraph) -> bool:
     return True
 
 
-def _edge_blocks(G: GeometricGraph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected blocks, by an iterative Hopcroft-Tarjan DFS."""
+def _cycle_lengths(G: GeometricGraph) -> Optional[list[int]]:
+    """Lengths of the cycles closed by the back edges of one depth-first pass.
+
+    Every non-tree edge of an undirected depth-first search joins a vertex
+    to one of its ancestors and closes one cycle with the tree path between
+    them. If no two of these cycles share an edge, they are the graph's only
+    cycles: any cycle is a sum of them, and a sum of edge-disjoint cycles is
+    a simple cycle only when it is one of them. If two share a tree edge,
+    the tree paths meet in a path P from x to y, and the rest of each cycle
+    is a second and a third x-y path, disjoint from P and from each other
+    inside; two of the three paths have lengths of equal parity and close an
+    even cycle. The pass returns ``None`` as soon as it finds such a pair.
+    """
     n = len(G.pointset)
     neighbours: list[list[int]] = [[] for _ in range(n)]
-    for e in G.sorted_edges():
+    for e in G.edges:
         neighbours[e.a].append(e.b)
         neighbours[e.b].append(e.a)
-    disc = [-1] * n
-    low = [0] * n
-    clock = 0
-    blocks = []
+    depth = [-1] * n
+    parent = [-1] * n
+    on_cycle = [False] * n  # on_cycle[v]: the tree edge from v to its parent lies on a cycle
+    lengths = []
     for root in range(n):
-        if disc[root] >= 0:
+        if depth[root] >= 0:
             continue
-        disc[root] = low[root] = clock
-        clock += 1
-        stack = [(root, -1, iter(neighbours[root]))]
-        edges: list[tuple[int, int]] = []
+        depth[root] = 0
+        stack = [(root, iter(neighbours[root]))]
         while stack:
-            v, parent, rest = stack[-1]
+            v, rest = stack[-1]
             for w in rest:
-                if disc[w] < 0:
-                    edges.append((v, w))
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    stack.append((w, v, iter(neighbours[w])))
+                if depth[w] < 0:
+                    depth[w], parent[w] = depth[v] + 1, v
+                    stack.append((w, iter(neighbours[w])))
                     break
-                if w != parent and disc[w] < disc[v]:
-                    edges.append((v, w))  # back edge
-                    low[v] = min(low[v], disc[w])
+                if depth[w] < depth[v] - 1:  # back edge to an ancestor above the parent
+                    lengths.append(depth[v] - depth[w] + 1)
+                    u = v
+                    while u != w:
+                        if on_cycle[u]:
+                            return None
+                        on_cycle[u] = True
+                        u = parent[u]
             else:
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:  # u separates the block below tree edge uv
-                        block = []
-                        while not block or block[-1] != (u, v):
-                            block.append(edges.pop())
-                        blocks.append(block)
-    return blocks
+    return lengths
 
 
 def has_even_cycle(G: GeometricGraph) -> bool:
     """True iff the abstract graph contains a simple cycle of even length."""
-    for block in _edge_blocks(G):
-        if len(block) < 2:
-            continue  # bridge
-        vertices = {v for e in block for v in e}
-        if len(block) > len(vertices):
-            return True  # theta subgraph forces an even cycle
-        if len(block) % 2 == 0:
-            return True  # the block is a single even cycle
-    return False
+    lengths = _cycle_lengths(G)
+    return lengths is None or any(length % 2 == 0 for length in lengths)
 
 
 def is_forest(G: GeometricGraph) -> bool:
-    """True iff the abstract graph is acyclic, i.e. every block is a bridge."""
-    return all(len(block) == 1 for block in _edge_blocks(G))
+    """True iff the abstract graph is acyclic."""
+    return _cycle_lengths(G) == []
 
 
 def star_polygon(c: int) -> GeometricGraph:

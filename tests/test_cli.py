@@ -360,6 +360,30 @@ class TestSearchCommand:
         code, out, _ = run(capsys, "search", "runs/run.cfg")
         assert code == 0 and "best objective 0" in out
 
+    def test_interrupt_writes_files_and_exits_130(self, capsys, tmp_path, monkeypatch):
+        import crossfam.search
+
+        # every 10-point set has a 2-crossing family, so the objective stays above 0
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n = 10\nk = 2\nseed = 0\niterations = 1000\n")
+        real, calls = crossfam.search.refresh_point_rows, []
+
+        def refresh(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(crossfam.search, "refresh_point_rows", refresh)
+        code, out, err = run(capsys, "search", str(cfg_path))
+        best = tmp_path / "run.best.txt"
+        trace = (tmp_path / "run.trace.csv").read_text().splitlines()
+        objective = int(trace[-1].split(",")[-1])
+        assert code == 130 and objective > 0
+        assert err.splitlines()[-1] == f"interrupted; best objective so far: {objective}"
+        assert out == f"best objective {objective} ({len(trace) - 2} iterations) -> {best}\n"
+        assert len(load_pointset(best)) == 10 and 1 < len(trace) - 1 < 1001
+
 
 class TestPlot:
     def test_writes_svg(self, capsys, pentagon_file, tmp_path):
@@ -404,6 +428,20 @@ class TestPlot:
         assert (code, out) == (1, "")
         assert err == "error: point index 7 out of range for 5 points\n"
         assert not out_path.exists()
+
+    def test_coordinate_beyond_float_range(self, capsys, tmp_path):
+        # laid out exactly: a float of 10**400 would overflow
+        path = tmp_path / "far.txt"
+        path.write_text(f"3\n0 0\n{10**400} 1\n1 -{10**400}\n")
+        out_path = tmp_path / "far.svg"
+        assert run(capsys, "plot", str(path), "-o", str(out_path)) == (
+            0, f"wrote {out_path}\n", "")
+        circles = [line for line in out_path.read_text().splitlines() if "<circle" in line]
+        assert circles == [
+            '<circle cx="30.00" cy="30.00" r="3.5" fill="#2c3e50"/>',
+            '<circle cx="610.00" cy="30.00" r="3.5" fill="#2c3e50"/>',
+            '<circle cx="30.00" cy="610.00" r="3.5" fill="#2c3e50"/>',
+        ]
 
 
 class TestInterruptedOutputs:
@@ -588,3 +626,41 @@ def test_subcommand_on_malformed_files_exits_0_1_or_2(fuzz_dir, argv, templates,
             assert exc.code == 2
         else:
             assert status in (0, 1)
+
+
+def _with_coordinate(text: str, index: int, value: str) -> str:
+    """``text`` with its ``index``-th coordinate, counted row by row, set to ``value``."""
+    lines = text.splitlines()
+    row, column = divmod(index, 2)
+    coords = lines[1 + row].split()
+    coords[column] = value
+    lines[1 + row] = " ".join(coords)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cf", "{pointset}"], "pointset"),
+    (["decide", "{pointset}", "--k", "3"], "pointset"),
+    (["count", "{pointset}", "--k", "3"], "pointset"),
+    (["double", "{pointset}", "--m", "2", "-o", "{out}"], "pointset"),
+    (["from-points", "{pointset}", "--k", "3"], "pointset"),
+    (["thrackle", "{graph}"], "graph"),
+    (["plot", "{pointset}", "--witness", "{witness}", "-o", "{out}"], "pointset"),
+], ids=["cf", "decide", "count", "double", "from-points", "thrackle", "plot"])
+@pytest.mark.parametrize("form", ["{}", "-{}", "1/{}"])
+def test_subcommand_on_extreme_coordinates_exits_0_1_or_2(tmp_path, argv, name, form):
+    # 10**308 is about the largest power of ten a float holds
+    templates = {"pointset": _FUZZ_POINTSET, "graph": _FUZZ_GRAPH, "witness": _FUZZ_WITNESS}
+    for k in (0, 1, 16, 308, 309, 400):
+        index = k % 8  # the eight coordinates of the first four points
+        paths = {"out": tmp_path / "out.txt"}
+        for key, template in templates.items():
+            text = _with_coordinate(template, index, form.format(10**k)) if key == name else template
+            paths[key] = tmp_path / f"{key}.txt"
+            paths[key].write_text(text, encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                status = main([arg.format(**paths) for arg in argv])
+            except SystemExit as exc:
+                status = exc.code
+        assert status in (0, 1, 2), (k, index)

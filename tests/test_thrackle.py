@@ -165,3 +165,27 @@ class TestThrackleCycleLaw:
             H.add_edges_from((e.a, e.b) for e in G.edges)
             if nx.is_bipartite(H):
                 assert is_forest(G)
+
+
+def test_cycle_checks_agree_with_oracles_on_every_small_graph():
+    """Every labelled graph on at most 6 vertices: 33,868 graphs."""
+    from itertools import combinations
+
+    nx = pytest.importorskip("networkx")
+    graphs = 0
+    for n in range(7):
+        S = convex_position_points(n)
+        pairs = [Segment(a, b) for a, b in combinations(range(n), 2)]
+        for bits in range(1 << len(pairs)):
+            edges = frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
+            G = GeometricGraph(S, edges)
+            assert has_even_cycle(G) == _even_cycle_brute(n, edges), sorted(edges)
+            if n:  # networkx raises on the null graph
+                H = nx.Graph()
+                H.add_nodes_from(range(n))
+                H.add_edges_from((e.a, e.b) for e in edges)
+                assert is_forest(G) == nx.is_forest(H), sorted(edges)
+            else:
+                assert is_forest(G)
+            graphs += 1
+    assert graphs == 33_868
