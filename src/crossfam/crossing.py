@@ -311,54 +311,80 @@ def has_k_family(S: PointSet, k: int) -> Optional[CrossingFamily]:
     return tuple(segments[v] for v in vertices)
 
 
+@lru_cache(maxsize=4)
+def _bits(n: int) -> tuple[int, ...]:
+    """The single-bit masks ``1 << i`` for i < n, built once per size."""
+    return tuple([1 << i for i in range(n)])
+
+
 def _count_cliques(adj: Sequence[int], k: int, cand: Optional[int] = None) -> int:
-    """Number of k-cliques inside the vertex mask ``cand`` (default: every vertex)."""
+    """Number of k-cliques inside the vertex mask ``cand`` (default: every vertex).
+
+    Each clique is counted once, at its highest vertex b: the (k-1)-cliques
+    among the neighbours of b below it. Vertices are taken from the top of
+    ``cand`` with ``bit_length``, and b is cleared with the entry of a table
+    of single bits, which allocates nothing; ``cand & -cand`` (the lowest
+    bit) would build a negative int and take the slower two's-complement
+    path of ``&``, and ``1 << b`` builds a new int on every step.
+    """
     if cand is None:
         cand = (1 << len(adj)) - 1
     if k == 0:
         return 1
     if k == 1:
         return cand.bit_count()
+    return _count_below(adj, _bits(len(adj)), cand, k)
+
+
+def _count_below(adj: Sequence[int], bits: tuple[int, ...], cand: int, k: int) -> int:
+    """Number of k-cliques inside ``cand``, k >= 2, each at its highest vertex."""
     total = 0
-
-    def rec(cand: int, remaining: int) -> None:
-        nonlocal total
-        if remaining == 2:
-            # last two levels: each vertex pairs with its later neighbours
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                total += (adj[bit.bit_length() - 1] & cand).bit_count()
-            return
+    if k == 2:
         while cand:
-            if cand.bit_count() < remaining:
-                return
-            bit = cand & -cand
-            cand ^= bit
-            nxt = adj[bit.bit_length() - 1] & cand
-            if nxt:
-                rec(nxt, remaining - 1)
-
-    rec(cand, k)
+            b = cand.bit_length() - 1
+            cand ^= bits[b]
+            total += (adj[b] & cand).bit_count()
+        return total
+    if k == 3:
+        # the last two levels inline: each edge (b, c) below the top vertex
+        # b closes a triangle with every common neighbour below c
+        while cand:
+            b = cand.bit_length() - 1
+            cand ^= bits[b]
+            nxt = adj[b] & cand
+            while nxt:
+                c = nxt.bit_length() - 1
+                nxt ^= bits[c]
+                total += (adj[c] & nxt).bit_count()
+        return total
+    while cand:
+        if cand.bit_count() < k:
+            break
+        b = cand.bit_length() - 1
+        cand ^= bits[b]
+        nxt = adj[b] & cand
+        if nxt:
+            total += _count_below(adj, bits, nxt, k - 1)
     return total
 
 
 def _count_cliques_meeting(adj: Sequence[int], k: int, cand: int, hit: int) -> int:
     """Number of k-cliques inside ``cand`` with at least one vertex in ``hit``.
 
-    Each such clique is counted at its lowest vertex in ``hit``: the
-    (k-1)-cliques in that vertex's neighbourhood once the lower ``hit``
+    Each such clique is counted at its highest vertex in ``hit``: the
+    (k-1)-cliques in that vertex's neighbourhood once the higher ``hit``
     vertices are dropped from ``cand``.
     """
     if k < 1:
         return 0
+    bits = _bits(len(adj))
     total = 0
     hit &= cand
     while hit:
-        bit = hit & -hit
-        hit ^= bit
-        cand ^= bit
-        total += _count_cliques(adj, k - 1, cand & adj[bit.bit_length() - 1])
+        b = hit.bit_length() - 1
+        hit ^= bits[b]
+        cand ^= bits[b]
+        total += _count_cliques(adj, k - 1, cand & adj[b])
     return total
 
 

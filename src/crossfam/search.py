@@ -1,12 +1,14 @@
 """Simulated annealing over integer point configurations.
 
 The objective is the exact number of k-crossing families. It is counted in
-full once; after that each move adds only the difference it makes. Segments
-sharing an endpoint never cross, so every family that a move of point p
-creates or destroys holds exactly one segment s through p, and the other
-k-1 segments form a clique in the crossing neighbourhood of s before or
-after the move. Cliques in both neighbourhoods cancel, so only the cliques
-meeting a neighbour that s gained or lost are counted.
+full at the start; after that each move adds only the difference it makes.
+Every drift guard counts it in full again, and so does the final recount of
+the best set. Segments sharing an endpoint never cross, so every family
+that a move of point p creates or destroys holds exactly one segment s
+through p, and the other k-1 segments form a clique in the crossing
+neighbourhood of s before or after the move. Cliques in both
+neighbourhoods cancel, so only the cliques meeting a neighbour that s
+gained or lost are counted.
 
 The state is the side-mask table of :mod:`crossfam.chirotope`, the
 segment sides read from it (per point, the segments whose line it is left

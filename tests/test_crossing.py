@@ -213,6 +213,20 @@ class TestCountKFamilies:
             )
             assert count_k_families(S, k) == expected
 
+    @pytest.mark.parametrize("name, m, counts", [
+        ("n9_cf2", 1, [42, 0]),
+        ("n14_cf3", 1, [376, 210, 0]),
+        ("n20_cf4", 1, [2027, 4533, 2061, 0]),
+        ("n9_cf2", 2, [1380, 1824, 670, 0]),
+        ("n14_cf3", 2, [9019, 45264, 81496, 55384, 12946, 0]),
+    ])
+    def test_pinned_counts_on_bundled_sets_and_replicas(self, name, m, counts):
+        # k = 2 up to cf + 1; the m = 2 replica of n20_cf4 is left out (about
+        # ten seconds), its counts for k = 2..9 are 41742, 569088, 3152355,
+        # 8270412, 10846569, 6626628, 1498969 and 0
+        S = load_bundled(name)[0] if m == 1 else _replica(name, m)
+        assert [count_k_families(S, k) for k in range(2, len(counts) + 2)] == counts
+
     def test_above_maximum_is_zero(self, rng):
         for _ in range(10):
             S = random_pointset(rng, rng.randint(4, 8))
@@ -339,6 +353,55 @@ def test_clique_counts_inside_a_mask_match_brute_force(adj, k, data):
     assert _count_cliques(adj, k) == _brute_force_cliques(adj, k, every)
     assert _count_cliques(adj, k, cand) == _brute_force_cliques(adj, k, cand)
     assert _count_cliques_meeting(adj, k, cand, hit) == _brute_force_cliques(adj, k, cand, hit)
+
+
+def _elementary_symmetric(sizes, k):
+    """e_k of ``sizes``: the number of k-cliques of the complete multipartite
+    graph with those part sizes."""
+    e = [1] + [0] * k
+    for size in sizes:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * size
+    return e[k]
+
+
+def _complete_multipartite(sizes, seed):
+    """(rows, part masks) of the complete multipartite graph with parts of
+    ``sizes``, the vertices dealt to the parts in a shuffled order."""
+    n = sum(sizes)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(sum(1 << v for v in order[start:start + size]))
+        start += size
+    every = (1 << n) - 1
+    return [every ^ next(p for p in parts if p >> v & 1) for v in range(n)], parts
+
+
+# Wider than one 30-bit CPython digit, so the top vertex and its single bit
+# cross digit boundaries; one large part keeps the clique counts small.
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("sizes", [
+    (10, 8, 6, 4, 2, 1),
+    (30, 12, 8, 5, 3, 2, 1),
+    (33, 16, 8, 4, 2, 1, 1),
+    (110, 8, 5, 3, 2, 1, 1),
+    (280, 8, 4, 3, 2, 1, 1, 1),
+], ids=["31", "61", "65", "130", "300"])
+def test_clique_counts_on_multipartite_graphs_match_elementary_symmetric(sizes, data):
+    adj, parts = _complete_multipartite(sizes, len(sizes))
+    every = (1 << len(adj)) - 1
+    cand = data.draw(st.integers(0, every))
+    hit = data.draw(st.integers(0, every))
+    inside = [(p & cand).bit_count() for p in parts]
+    outside_hit = [(p & cand & ~hit).bit_count() for p in parts]
+    for k in range(7):
+        assert _count_cliques(adj, k) == _elementary_symmetric(sizes, k)
+        assert _count_cliques(adj, k, cand) == _elementary_symmetric(inside, k)
+        assert _count_cliques_meeting(adj, k, cand, hit) == (
+            _elementary_symmetric(inside, k) - _elementary_symmetric(outside_hit, k))
 
 
 def _traced_run(cls, adj, target=None):
