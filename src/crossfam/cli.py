@@ -119,7 +119,7 @@ def _verdict(record: dict, violated):
 def _cmd_verify_model(args):
     from . import sat
 
-    cnf = sat.parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
+    cnf = sat.read_dimacs(args.cnf)
     asg = sat.parse_model(Path(args.model).read_text(encoding="utf-8"), cnf.num_vars)
     return _verdict({}, sat.verify_assignment(cnf, asg))
 

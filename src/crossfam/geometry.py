@@ -113,8 +113,23 @@ class Segment:
 
 
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Exact sign of the cross product (q - p) x (r - p)."""
-    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    """Exact sign of the cross product (q - p) x (r - p).
+
+    Integer coordinates go into the formula as they are. Otherwise each axis
+    is scaled by the product of its three denominators, from
+    ``as_integer_ratio()``: a positive scaling keeps the sign, and the
+    formula then runs on integers instead of ``Fraction`` arithmetic.
+    """
+    if int is type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x) is type(r.y):
+        d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    else:
+        (a, u), (b, v), (c, w) = (p.x.as_integer_ratio(), q.x.as_integer_ratio(),
+                                  r.x.as_integer_ratio())
+        px, qx, rx = a * v * w, b * u * w, c * u * v
+        (a, u), (b, v), (c, w) = (p.y.as_integer_ratio(), q.y.as_integer_ratio(),
+                                  r.y.as_integer_ratio())
+        py, qy, ry = a * v * w, b * u * w, c * u * v
+        d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
     if d > 0:
         return Orientation.COUNTERCLOCKWISE
     if d < 0:

@@ -32,21 +32,29 @@ as whitespace-separated signed integers ('v'-prefixed lines tolerated).
 The DIMACS text is produced in bulk and read one slice at a time.
 ``emit_dimacs`` writes the header once, then splits each chunk of clauses into
 runs of equal length and formats a run with one ``%``-operation on a repeated
-``"%d ... 0\\n"`` template. ``parse_dimacs`` and ``parse_model`` read the
-lines of ``text.splitlines()`` through ``_lines``, which cuts the text just
-after a ``\\n`` about every ``_READ_SLICE`` characters and splits one slice at
-a time, so only that slice's lines are alive, never a list of every line of
-the text. ``parse_dimacs`` turns a line that ends in ``0`` while no clause is
-pending into a tuple by looking its tokens up in a table of literal texts. The
-table maps the canonical text ``str(v)`` of each nonzero literal in range of
-the problem line to ``v`` (the lowest ones only, when the text is shorter than
-64 characters per variable). Any other token (zero, out of range, ``+3``,
-``03``, not an integer) misses and sends its line through the checked
-per-token branch, which is the only place that raises.
+``"%d ... 0\\n"`` template. ``parse_dimacs`` cuts the text just after a
+``\\n`` about every ``_READ_SLICE`` characters (``read_dimacs`` reads a file's
+text in the same pieces), so only one slice is alive beside the clauses,
+never a list of every line. A table of literal texts maps the canonical text
+``str(v)`` of each nonzero literal in range of the problem line to ``v``, and
+``"0"`` to 0, for at most one variable per 64 characters of the text (of
+the text read so far, when its length is unknown, as for a pipe). Each
+slice after the problem line is read as one token stream: its tokens are
+looked up in the table in one ``map``, and when every clause of the slice
+has the first one's width the clause tuples are built in C by zipping the
+columns of that list, else the list is cut at each 0. Lines are then counted by their ``\\n`` (and lone ``\\r``), which needs the
+slice to be ASCII and to hold no other break of ``str.splitlines``. Any
+other slice (a token that misses the table, such as a comment, ``+3``,
+``03``, ``-0`` or a literal out of range; a clause pending from the slice
+before or left open at its end; another line break) goes line by line through
+the checked branch, the only place that raises. Its per-line fast branch
+takes a line that ends in ``0`` and holds no other ``0`` while no clause is
+pending. ``parse_model`` reads its lines through ``_lines``.
 """
 
 from __future__ import annotations
 
+import os
 from itertools import chain, combinations, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -69,8 +77,11 @@ _CROSSING_LITERALS = ((1, 2, 3, 4), (-1, 3, 2, -4), (-2, -3, 1, 4))
 #: clauses formatted per write by ``emit_dimacs``
 _EMIT_CHUNK = 65536
 
-#: characters per slice that ``_lines`` splits at once, up to the next ``\n``
-_READ_SLICE = 65536
+#: characters per slice that the readers take at once, up to the next ``\n``
+_READ_SLICE = 16384
+
+#: line breaks of ``str.splitlines`` in ASCII besides ``\n`` and ``\r``
+_OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 class VarMap:
@@ -278,51 +289,114 @@ def _int_token(tok: str, what: str, lineno: int) -> int:
 
 def parse_dimacs(text: str) -> Cnf:
     """Round-trip reader for DIMACS CNF (comments ignored)."""
+    return _parse_slices(_slices(text), len(text))
+
+
+def read_dimacs(path: Union[str, Path]) -> Cnf:
+    """:func:`parse_dimacs` of a UTF-8 file's text, read one slice at a time.
+
+    The file is read in text mode, so line endings are translated as by
+    ``Path.read_text``, and each piece is cut just after a ``\\n`` as
+    ``_slices`` cuts. The file's size sizes the literal table (a pipe's, 0,
+    lets it grow with the text read). An invalid byte is reported at its
+    position in the file, as a decode of the whole file reports it, but only
+    once the pieces before it have parsed.
+    """
+    with open(path, encoding="utf-8") as f:
+        size = os.fstat(f.fileno()).st_size
+        try:
+            return _parse_slices(iter(lambda: f.read(_READ_SLICE - 1) + f.readline(), ""), size)
+        except UnicodeDecodeError as exc:
+            # exc.object is the last chunk the decoder was given, which ends
+            # where the file has been read to
+            base = f.buffer.tell() - len(exc.object)
+            raise UnicodeDecodeError(exc.encoding, bytes(base) + exc.object, base + exc.start,
+                                     base + exc.end, exc.reason) from None
+
+
+def _parse_slices(pieces: Iterable[str], size: int) -> Cnf:
+    """Parse the DIMACS text whose consecutive pieces are ``pieces``.
+
+    Every piece but the last must end just after a ``\\n``. ``size``, the
+    length of the text or of its file when known, sizes the literal table.
+    """
     num_vars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
-    # Canonical literal text -> int over the range of the problem line.
-    # Tabulating at most one literal per 64 characters of input keeps a header
-    # that declares a huge count cheap; literals beyond the table still parse,
-    # through the checked branch below.
-    table: dict[str, int] = {}
+    # Canonical literal text -> int for the variables 1..top, and "0". At
+    # most one variable per 64 characters of ``size``, or of the text read
+    # when that is more, keeps a header that declares a huge count cheap;
+    # literals beyond the table still parse, through the checked branch below.
+    # Built in one go at the problem line, the table is faster to read than
+    # one grown a slice at a time, which only a short ``size`` makes it do.
+    table = {"0": 0}
     lookup = table.__getitem__
-    for lineno, raw in enumerate(_lines(text), start=1):
-        toks = raw.split()
-        if toks and toks[-1] == "0" and not pending and num_vars is not None:
+    top = 0
+    read = 0  # characters in the pieces so far, this one included
+    lineno = 0  # lines before the piece
+    for piece in pieces:
+        read += len(piece)
+        if num_vars is not None and top < num_vars and top < read // 64:
+            grown = min(num_vars, read // 64)
+            table.update(_literal_texts(top, grown))
+            top = grown
+        # A piece after the problem line is one token stream when all its
+        # tokens are in the table and its last clause ends in it; its lines
+        # are then counted by their \n (and lone \r), which needs the other
+        # line breaks of str.splitlines to be absent.
+        if (num_vars is not None and not pending and piece.isascii()
+                and not any(map(piece.__contains__, _OTHER_BREAKS))):
             try:
-                clauses.append(tuple(map(lookup, toks[:-1])))
-                continue
+                ints = list(map(lookup, piece.split()))
             except KeyError:
                 pass
-        if not toks or toks[0].startswith("c"):
-            continue
-        if toks[0].startswith("p"):
-            if num_vars is not None:
-                raise ParseError("second problem line", lineno)
-            if len(toks) != 4 or toks[1] != "cnf":
-                raise ParseError(f"bad problem line {raw.strip()!r}", lineno)
-            num_vars = _int_token(toks[2], "variable count", lineno)
-            declared = _int_token(toks[3], "clause count", lineno)
-            if num_vars < 0:
-                raise ParseError(f"negative variable count {num_vars}", lineno)
-            if declared < 0:
-                raise ParseError(f"negative clause count {declared}", lineno)
-            top = min(num_vars, len(text) // 64)
-            table.update((str(v), v) for v in range(-top, top + 1) if v)
-            continue
-        if num_vars is None:
-            raise ParseError("clause before problem line", lineno)
-        for tok in toks:
-            lit = _int_token(tok, "literal", lineno)
-            if lit == 0:
-                clauses.append(tuple(pending))
-                pending = []
             else:
-                if abs(lit) > num_vars:
-                    raise ParseError(f"literal {lit} exceeds {num_vars} variables", lineno)
-                pending.append(lit)
+                if not ints or ints[-1] == 0:
+                    _add_clauses(clauses, ints)
+                    lineno += piece.count("\n")
+                    if "\r" in piece:
+                        lineno += piece.count("\r") - piece.count("\r\n")
+                    continue
+        # the checked branch, line by line: the only place that raises
+        for lineno, raw in enumerate(piece.splitlines(), start=lineno + 1):
+            toks = raw.split()
+            if toks and toks[-1] == "0" and not pending and num_vars is not None:
+                try:
+                    clause = tuple(map(lookup, toks[:-1]))
+                except KeyError:
+                    pass
+                else:
+                    if 0 not in clause:
+                        clauses.append(clause)
+                        continue
+            if not toks or toks[0].startswith("c"):
+                continue
+            if toks[0].startswith("p"):
+                if num_vars is not None:
+                    raise ParseError("second problem line", lineno)
+                if len(toks) != 4 or toks[1] != "cnf":
+                    raise ParseError(f"bad problem line {raw.strip()!r}", lineno)
+                num_vars = _int_token(toks[2], "variable count", lineno)
+                declared = _int_token(toks[3], "clause count", lineno)
+                if num_vars < 0:
+                    raise ParseError(f"negative variable count {num_vars}", lineno)
+                if declared < 0:
+                    raise ParseError(f"negative clause count {declared}", lineno)
+                top = min(num_vars, max(size, read) // 64)
+                table.update(_literal_texts(0, top))
+                continue
+            if num_vars is None:
+                raise ParseError("clause before problem line", lineno)
+            for tok in toks:
+                lit = _int_token(tok, "literal", lineno)
+                if lit == 0:
+                    clauses.append(tuple(pending))
+                    pending = []
+                else:
+                    if abs(lit) > num_vars:
+                        raise ParseError(f"literal {lit} exceeds {num_vars} variables", lineno)
+                    pending.append(lit)
     if pending:
         clauses.append(tuple(pending))
     if num_vars is None:
@@ -330,6 +404,41 @@ def parse_dimacs(text: str) -> Cnf:
     if declared is not None and declared != len(clauses):
         raise ParseError(f"expected {declared} clauses, found {len(clauses)}")
     return Cnf(num_vars, clauses)
+
+
+def _literal_texts(low: int, high: int) -> Iterator[tuple[str, int]]:
+    """``(str(v), v)`` for the literals v of the variables ``low + 1..high``.
+
+    The negative literals come first, in one block: the family clauses are
+    all negative, and a table whose negative entries are not interleaved
+    with the positive ones read about 15 % faster on (13, 4).
+    """
+    variables = range(low + 1, high + 1)
+    return chain(((str(-v), -v) for v in variables), ((str(v), v) for v in variables))
+
+
+def _add_clauses(clauses: list[tuple[int, ...]], ints: list[int]) -> None:
+    """Append the clauses of ``ints``, literals each followed by a 0, to ``clauses``.
+
+    When every clause has the first one's width w, the tuples are built in C
+    by zipping the w columns ``ints[i::w + 1]``; otherwise ``ints`` is cut at
+    each 0.
+    """
+    if not ints:
+        return
+    w = ints.index(0)
+    step = w + 1
+    if w and len(ints) % step == 0 and not any(ints[w::step]):
+        columns = [ints[i::step] for i in range(w)]
+        if all(map(all, columns)):
+            clauses.extend(zip(*columns))
+            return
+    index, add = ints.index, clauses.append
+    start, end = 0, len(ints)
+    while start < end:
+        cut = index(0, start)
+        add(tuple(ints[start:cut]))
+        start = cut + 1
 
 
 def assignment_from_pointset(S: PointSet, vm: VarMap) -> Assignment:

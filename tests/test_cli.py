@@ -280,6 +280,36 @@ class TestEncodeVerify:
         assert code == 1 and out == ""
         assert err == "error: model does not assign variable 2\n"
 
+    @pytest.mark.parametrize("at", [12, 20_012, 70_000])
+    def test_verify_model_names_an_invalid_byte_by_its_file_position(self, capsys, tmp_path, at):
+        # the CNF is read a slice at a time; the position is still the file's
+        comment = b"c " + b"." * 97 + b"\n"
+        data = (b"p cnf 3 0\n" + comment * (at // len(comment)))[:at] + b"\xe2\x28\n"
+        cnf_path = tmp_path / "bad.cnf"
+        cnf_path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        model = tmp_path / "model.txt"
+        model.write_text("1 2 3 0\n")
+        code, out, err = run(capsys, "verify-model", str(cnf_path), str(model))
+        assert code == 1 and out == ""
+        assert err == f"error: {whole.value}\n"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_verify_model_error_line_past_the_first_slice(self, capsys, tmp_path, eol):
+        cnf, _ = encode_no_k_family(9, 3)
+        sink = io.BytesIO()
+        emit_dimacs(cnf, sink)
+        lines = sink.getvalue().decode("ascii").splitlines()
+        lines[3000] = lines[3000].replace(" ", " x ", 1)
+        cnf_path = tmp_path / "bad.cnf"
+        cnf_path.write_bytes(eol.join(lines).encode("ascii"))
+        model = tmp_path / "model.txt"
+        model.write_text("1 0\n")
+        code, out, err = run(capsys, "verify-model", str(cnf_path), str(model))
+        assert code == 1 and out == ""
+        assert err == "error: line 3001: bad literal 'x'\n"
+
     def test_from_points_satisfied(self, capsys, tmp_path):
         pts = tmp_path / "nine.txt"
         from crossfam.geometry import PointSet

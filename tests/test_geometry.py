@@ -65,6 +65,24 @@ class TestOrientation:
             expected = (det > 0) - (det < 0)
             assert orientation(P(ax, ay), P(bx, by), P(cx, cy)) == expected
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_rationals_agree_with_the_fraction_formula(self, data):
+        # large, negative and integer-valued rationals, mixed with plain ints,
+        # and collinear triples: r on the line through p and q
+        big = st.integers(-2 ** 80, 2 ** 80)
+        coord = st.one_of(big, st.builds(Fraction, big, st.integers(1, 2 ** 70)),
+                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+        p, q = (P(data.draw(coord), data.draw(coord)) for _ in range(2))
+        if data.draw(st.booleans()):
+            t = Fraction(data.draw(coord))
+            r = P(Fraction(p.x) + t * (q.x - p.x), Fraction(p.y) + t * (q.y - p.y))
+        else:
+            r = P(data.draw(coord), data.draw(coord))
+        fp, fq, fr = ((Fraction(s.x), Fraction(s.y)) for s in (p, q, r))
+        det = (fq[0] - fp[0]) * (fr[1] - fp[1]) - (fq[1] - fp[1]) * (fr[0] - fp[0])
+        assert orientation(p, q, r) == (det > 0) - (det < 0)
+
     def test_rejects_float_coordinates(self):
         with pytest.raises(TypeError):
             Point(0.5, 1)

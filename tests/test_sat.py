@@ -5,7 +5,7 @@ import random
 import stat
 import threading
 import tracemalloc
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from unittest import mock
 
@@ -38,6 +38,7 @@ from crossfam.sat import (
     encode_no_k_family,
     parse_dimacs,
     parse_model,
+    read_dimacs,
     verify_assignment,
 )
 from crossfam.store import bundled_names, load_bundled
@@ -486,6 +487,175 @@ class TestLineReader:
         tracemalloc.start()
         try:
             back = parse_dimacs(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.clauses == cnf.clauses
+        assert peak - kept <= 2 ** 20
+
+
+# the (n, k) of the sat benchmark's plan
+_BENCHMARK_SIZES = [(9, 3), (9, 4), (10, 3), (10, 4), (11, 3),
+                    (12, 3), (11, 4), (13, 3), (12, 4), (13, 4)]
+
+
+def _emitted(n, k):
+    cnf, vm = encode_no_k_family(n, k)
+    sink = io.BytesIO()
+    emit_dimacs(cnf, sink, comments=default_dimacs_comments(vm, k))
+    return cnf, sink.getvalue().decode("ascii")
+
+
+_SEAM_CNF, _SEAM_TEXT = _emitted(9, 3)  # about 84,000 characters
+_SEAM_VARS = _SEAM_CNF.num_vars
+
+
+def _line_at(text, at):
+    """Start and end of the first line that starts at or after ``at``."""
+    start = text.index("\n", at - 1) + 1
+    return start, text.index("\n", start)
+
+
+def _first_token(replacement):
+    def change(text, at, size):
+        start, end = _line_at(text, at)
+        first, rest = text[start:end].split(" ", 1)
+        return text[:start] + replacement + " " + rest + text[end:]
+    return change
+
+
+def _last_token(replacement):
+    def change(text, at, size):
+        start, end = _line_at(text, at)
+        rest, _ = text[start:end].rsplit(" ", 1)
+        return text[:start] + rest + " " + replacement + text[end:]
+    return change
+
+
+def _insert(line):
+    def change(text, at, size):
+        start, _ = _line_at(text, at)
+        return text[:start] + line + text[start:]
+    return change
+
+
+def _cuts(text, size):
+    """Where each slice of ``text`` ends, and the next one starts, at slice size ``size``."""
+    with mock.patch.object(sat, "_READ_SLICE", size):
+        return list(accumulate(map(len, sat._slices(text))))
+
+
+def _break_then_error(brk):
+    """The line break ending a line becomes ``brk``; the next slice holds a bad literal."""
+    def change(text, at, size):
+        _, end = _line_at(text, at)
+        text = text[:end] + brk + text[end + 1:]
+        return _first_token("x")(text, next(c for c in _cuts(text, size) if c > end), size)
+    return change
+
+
+def _clause_across_a_cut(text, at, size):
+    """A clause broken over two lines so that the slice holding ``at`` ends inside it.
+
+    The slice that starts at ``start`` ends at the first ``\\n`` at or after
+    ``start + size - 1``; spaces pad the clause's line up to that character.
+    """
+    start = max(c for c in [0] + _cuts(text, size) if c <= at)
+    target = start + size - 1
+    line = text.rindex("\n", 0, target) + 1
+    end = text.index("\n", line)
+    first, rest = text[line:end].split(" ", 1)
+    changed = text[:line] + " " * (target - line) + first + "\n" + rest + text[end:]
+    assert target + len(first) + 1 in _cuts(changed, size)
+    return changed
+
+
+_SEAMS = {
+    "comment": _insert("c note\n"),
+    "minus-zero": _first_token("-0"),
+    "plus-sign": _first_token("+3"),
+    "leading-zero": _first_token("03"),
+    "zero-inside-a-clause": _first_token("0"),
+    "zero-replaced-by-a-literal": _last_token("1"),  # joins two clauses
+    "empty-clause": _insert("0\n"),
+    "out-of-range": _first_token(str(-_SEAM_VARS - 1)),
+    "clause-across-a-cut": _clause_across_a_cut,
+    "vertical-tab-then-error": _break_then_error("\x0b"),
+    "next-line-then-error": _break_then_error("\x85"),
+    "lone-cr-then-error": _break_then_error("\r"),
+}
+
+
+def _declaring_what_it_holds(text):
+    """``text`` with its problem line declaring the clauses the reference reads."""
+    outcome = _outcome(reference_parse_dimacs, text)
+    if outcome[0] == "error" and outcome[1].startswith("expected "):
+        found = outcome[1].rsplit(" ", 2)[1]
+        head, _, body = text.partition(f"p cnf {_SEAM_VARS} {len(_SEAM_CNF.clauses)}\n")
+        return head + f"p cnf {_SEAM_VARS} {found}\n" + body
+    return text
+
+
+class TestReaderSeams:
+    """Both readers agree with the reference, outcome and line, around one change."""
+
+    @pytest.mark.parametrize("size", [1, 7, 64, sat._READ_SLICE])
+    # at the default size, 20,000 is in a slice of the crossing group (clauses
+    # of widths 3 and 5) and 66,000 in one of the family group (width 3)
+    @pytest.mark.parametrize("at", [20_000, 66_000], ids=["mixed-widths", "one-width"])
+    @pytest.mark.parametrize("seam", sorted(_SEAMS))
+    def test_change_after_the_first_slice(self, tmp_path, seam, at, size):
+        assert len(next(sat._slices(_SEAM_TEXT))) < 20_000
+        changed = _SEAMS[seam](_SEAM_TEXT, at, size)
+        path = tmp_path / "seam.cnf"
+        for text in {changed, _declaring_what_it_holds(changed)}:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            expected = _outcome(reference_parse_dimacs, text)
+            from_file = _outcome(reference_parse_dimacs, path.read_text(encoding="utf-8"))
+            with mock.patch.object(sat, "_READ_SLICE", size):
+                assert _outcome(parse_dimacs, text) == expected
+                assert _outcome(read_dimacs, path) == from_file
+                # a pipe's size is 0: the literal table grows as the text is read
+                assert _outcome(lambda t: sat._parse_slices(sat._slices(t), 0), text) == expected
+
+    def test_every_seam_changes_the_outcome_or_the_clauses(self):
+        reference = _outcome(reference_parse_dimacs, _SEAM_TEXT)
+        for seam, change in _SEAMS.items():
+            if seam not in ("comment", "clause-across-a-cut"):
+                text = change(_SEAM_TEXT, 20_000, sat._READ_SLICE)
+                assert _outcome(reference_parse_dimacs, text) != reference, seam
+
+    @pytest.mark.parametrize("n, k", _BENCHMARK_SIZES)
+    def test_round_trip_on_the_benchmark_sizes(self, tmp_path, n, k):
+        cnf, text = _emitted(n, k)
+        path = tmp_path / "inst.cnf"
+        path.write_text(text, encoding="ascii")
+        for back in (parse_dimacs(text), read_dimacs(path)):
+            assert (back.num_vars, back.clauses) == (cnf.num_vars, cnf.clauses)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_read_from_a_pipe(self, tmp_path):
+        # a pipe has no size, so the literal table grows as the text is read
+        cnf, text = _emitted(10, 3)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_text(text, encoding="ascii"),
+                                  daemon=True)
+        writer.start()
+        back = read_dimacs(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.clauses == cnf.clauses
+
+    def test_read_holds_one_slice(self, tmp_path):
+        cnf, text = _emitted(12, 4)
+        path = tmp_path / "inst.cnf"
+        path.write_text(text, encoding="ascii")
+        del text
+        tracemalloc.start()
+        try:
+            back = read_dimacs(path)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
