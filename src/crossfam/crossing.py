@@ -7,9 +7,11 @@ cliques. Its rows are the ones the point set keeps,
 graph. The optimizer is a branch-and-bound maximum-clique search with a
 greedy-coloring upper bound over bitset adjacency rows, processing vertices
 in degeneracy order; where the bound is tight, a colour-class cut skips the
-branches that cannot hold an improving clique. The maximum search starts
-from all but the last vertex of a greedy clique, so the bound cuts from the
-first node on, while the witness is still a clique the search found itself.
+branches that cannot hold an improving clique, and a child whose candidates
+lie inside those of a sibling that recorded nothing is not searched. The
+maximum search starts from all but the last vertex of a greedy clique, so
+the bound cuts from the first node on, while the witness is still a clique
+the search found itself.
 The relabelled graph a search runs on is a pure function of the rows, so
 every search on the same rows in one process (``max_crossing_family``,
 then ``has_k_family`` at cf + 1) shares one relabelling; no search result
@@ -89,6 +91,18 @@ class CliqueSearch:
     cannot record are cut, so the search records the cliques the plain
     colour bound records, in the same order, and returns the same answer
     and witness.
+
+    A node keeps one bitset ``spent``: the candidates of its last child
+    whose search returned with ``best_size`` unchanged. A later child whose
+    candidates lie inside ``spent`` is not searched, as it cannot record:
+    the spent child extended its prefix by every clique inside ``spent``
+    and found nothing larger than ``best_size``, ``best_size`` never falls,
+    and the later child extends a prefix of the same size by cliques inside
+    a subset of ``spent``, which holds no larger clique. A skipped child's
+    subtree would have recorded nothing and left ``best_size`` as it was,
+    so the nodes still visited are, in order, nodes the search visits
+    without the skip, each with the same clique and candidates, and the
+    records, answer and witness are unchanged.
 
     Without a target, the search starts from a greedy incumbent, in the
     style of the heuristic start of BBMCSP (San Segundo et al.): one dive
@@ -192,6 +206,9 @@ class CliqueSearch:
                 return
             cand ^= classes[-1] ^ survivors
             classes[-1] = survivors
+        # the candidates of the last child that returned without a record;
+        # a child whose candidates all lie inside them is not searched
+        spent = 0
         for bound in range(top, 0, -1):
             cls = classes[bound - 1]
             while cls:
@@ -204,8 +221,11 @@ class CliqueSearch:
                 if len(clique) > self.best_size:
                     self._record(clique)
                 nxt = cand & adj[v]
-                if nxt:
+                if nxt & spent != nxt:
+                    best = self.best_size
                     self._expand(clique, nxt)
+                    if self.best_size == best:
+                        spent = nxt
                 clique.pop()
                 cand ^= bit
 

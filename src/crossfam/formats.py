@@ -17,11 +17,22 @@ from .errors import ParseError
 from .geometry import Coord, PointSet, Segment
 
 
+def _parse_int(token: str) -> int:
+    """The integer ``token`` writes as ``[+-]?[0-9]+``, else ``ValueError``.
+
+    ``int`` alone would also read ``1_0`` as 10 and take the digits of
+    other scripts; every integer of a file format is read here instead.
+    """
+    if token.isascii() and (token.isdigit() or token[:1] in "+-" and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(f"invalid integer {token!r}")
+
+
 def parse_coord(token: str) -> Coord:
     if "/" in token:
         num, _, den = token.partition("/")
-        return Fraction(int(num), int(den))
-    return int(token)
+        return Fraction(_parse_int(num), _parse_int(den))
+    return _parse_int(token)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -42,7 +53,7 @@ def _parse_point_block(lines: list[tuple[int, str]], start: int) -> tuple[PointS
     if len(head.split()) != 1:
         raise ParseError("expected a single point count", lineno)
     try:
-        n = int(head)
+        n = _parse_int(head)
     except ValueError:
         raise ParseError(f"invalid point count {head!r}", lineno) from None
     if n < 0:
@@ -133,7 +144,7 @@ def _parse_segment_line(lineno: int, line: str) -> Segment:
     if len(fields) != 2:
         raise ParseError(f"expected 2 point indices, got {len(fields)}", lineno)
     try:
-        a, b = int(fields[0]), int(fields[1])
+        a, b = _parse_int(fields[0]), _parse_int(fields[1])
     except ValueError:
         raise ParseError(f"bad point index in {line!r}", lineno) from None
     if a == b:
@@ -151,7 +162,7 @@ def parse_witness(text: str) -> tuple[int, tuple[Segment, ...]]:
     if len(fields) != 3 or fields[0] != "k" or fields[1] != "=":
         raise ParseError(f"expected 'k = <value>', got {head!r}", lineno)
     try:
-        k = int(fields[2])
+        k = _parse_int(fields[2])
     except ValueError:
         raise ParseError(f"bad family size {fields[2]!r}", lineno) from None
     segments = tuple(_parse_segment_line(ln, line) for ln, line in lines[1:])
@@ -233,8 +244,8 @@ def parse_certificate(text: str):
 
     return ReplicationCertificate(
         epsilon=field("epsilon", parse_coord, lambda eps: eps > 0),
-        m=field("m", int, lambda m: m >= 1),
-        source_n=field("source_n", int, lambda n: n >= 0),
+        m=field("m", _parse_int, lambda m: m >= 1),
+        source_n=field("source_n", _parse_int, lambda n: n >= 0),
         cluster_isolation_ok=field("cluster_isolation", _FLAGS.__getitem__),
         copy_order_ok=field("copy_order", _FLAGS.__getitem__),
     )

@@ -46,8 +46,9 @@ class Point:
 
     def __post_init__(self):
         for v in (self.x, self.y):
-            # Floats would silently poison every predicate downstream.
-            if not isinstance(v, _EXACT_TYPES):
+            # Floats would silently poison every predicate downstream, and a
+            # bool would be written as True or False, which no parser reads.
+            if not isinstance(v, _EXACT_TYPES) or isinstance(v, bool):
                 raise TypeError(f"exact coordinate required, got {type(v).__name__}")
 
 

@@ -62,7 +62,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, U
 
 from .chirotope import _segment_offsets
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
-from .formats import write_atomic
+from .formats import _parse_int, write_atomic
 from .geometry import PointSet, Segment
 
 Assignment = list[bool]
@@ -282,7 +282,7 @@ def _lines(text: str) -> Iterator[str]:
 
 def _int_token(tok: str, what: str, lineno: int) -> int:
     try:
-        return int(tok)
+        return _parse_int(tok)
     except ValueError:
         raise ParseError(f"bad {what} {tok!r}", lineno) from None
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import crossfam
 from crossfam import chirotope
-from crossfam.crossing import CliqueSearch
+from crossfam.crossing import CliqueSearch, _transversal_top
 from crossfam.errors import DegenerateEpsilonError, EpsilonSearchError
 from crossfam.geometry import PointSet, all_segments, segments_cross
 from crossfam.replication import replicate_certified
@@ -95,6 +95,51 @@ class ReferenceSearch(CliqueSearch):
                 self._expand(clique, nxt)
             clique.pop()
             cand ^= 1 << v
+
+
+class SiblingBlindSearch(CliqueSearch):
+    """The clique search without the spent-sibling skip.
+
+    The same colour classes and colour-class cut as :class:`CliqueSearch`,
+    but every child with a candidate is searched; a test oracle for the
+    records and for the calls the skip leaves out.
+    """
+
+    def _expand(self, clique, cand):
+        adj, skip = self._adj, self._skip
+        classes = []
+        rest = cand
+        while rest:
+            avail = start = rest
+            while avail:
+                bit = avail & -avail
+                avail &= skip[bit.bit_length() - 1]
+                rest ^= bit
+            classes.append(start ^ rest)
+        depth = len(clique)
+        top = len(classes)
+        if top > 1 and depth + top == self.best_size + 1:
+            survivors = _transversal_top(adj, classes)
+            if not survivors:
+                return
+            cand ^= classes[-1] ^ survivors
+            classes[-1] = survivors
+        for bound in range(top, 0, -1):
+            cls = classes[bound - 1]
+            while cls:
+                if depth + bound <= self.best_size:
+                    return
+                v = cls.bit_length() - 1
+                bit = 1 << v
+                cls ^= bit
+                clique.append(v)
+                if len(clique) > self.best_size:
+                    self._record(clique)
+                nxt = cand & adj[v]
+                if nxt:
+                    self._expand(clique, nxt)
+                clique.pop()
+                cand ^= bit
 
 
 def reference_choose_epsilon(S: PointSet, m: int):

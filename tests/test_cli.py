@@ -71,6 +71,14 @@ class TestCf:
         code, _, err = run(capsys, "cf", "/nonexistent/file.txt")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"])
+    def test_python_only_integer_syntax_is_a_parse_error(self, capsys, tmp_path, token):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"3\n0 0\n{token} 1\n2 5\n", encoding="utf-8")
+        code, out, err = run(capsys, "cf", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 3: bad coordinate: invalid integer {token!r}\n"
+
     @pytest.fixture
     def interrupted_cf(self, monkeypatch):
         """``cf`` on n14_cf3, interrupted at its first branch, so that it holds
@@ -251,6 +259,8 @@ class TestEncodeVerify:
         ("p cnf 3 1\n1 x 0\n", "error: line 2: bad literal 'x'"),
         ("p cnf x 1\n1 0\n", "error: line 1: bad variable count 'x'"),
         ("p cnf 3 y\n1 0\n", "error: line 1: bad clause count 'y'"),
+        ("p cnf 3 1\n1_0 0\n", "error: line 2: bad literal '1_0'"),
+        ("p cnf \u0663 1\n1 0\n", "error: line 1: bad variable count '\u0663'"),
     ])
     def test_verify_model_non_integer_dimacs_token(self, capsys, tmp_path, text, message):
         cnf_path = tmp_path / "bad.cnf"

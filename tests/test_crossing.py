@@ -30,7 +30,7 @@ from crossfam.geometry import (
 )
 from crossfam.replication import replicate_certified
 from crossfam.store import load_bundled
-from conftest import ReferenceSearch, random_pointset
+from conftest import ReferenceSearch, SiblingBlindSearch, random_pointset
 
 
 class TestBuildCrossingGraph:
@@ -578,24 +578,24 @@ def _replica(name, m):
 # before the incumbent, which the decision search does not use).
 _PINNED_SEARCH_TREES = pytest.mark.parametrize("points, cf, search, decide", [
     (lambda: _replica("n14_cf3", 3), 9,
-     ("485f3ae283723f485b8f0974a91078ae84097c01a2495c70050bf403c295dfc9",
+     ("be603cbe26a235f797e23de739d7c26c187879b12dbfa85dc167ff3fddbc4753",
       "878161aed796f936a00f67364f3e00baa45d0e1043023a1f131e64bc61449819"),
-     ("70f6085a403f5cd9d93dbd32dc54169ed80c352610d0ce0ba07c515c3276589c",
+     ("b65776c4d36fc94773fca73fb20fffe0c8cbbdcfa1744db289ec4a97f73678c1",
       "e15ab686e33b484aa0986b11fdd2f14c46a39a6c753ba6e421883fca4b040375")),
     (lambda: _replica("n9_cf2", 4), 8,
-     ("bd8abe0d10f00dca557dc640f57cea18a8fc8950bd5b02074bf320a77d68f251",
+     ("4c95b122d42ebb7d7db1b98b63062db2df8953eeca45ffb26603a3643cb700da",
       "404fd752140447e8223b1765c0934b92a404a5bfdab0046ded05da659481caf4"),
-     ("a64acb74410becba498a8ca88d9590a8f3bfc77b578c6adab6d9a7096ef3c35a",
+     ("daf95ec8f8bd49261d3eb7b7d35a9818f8dfe08be9396c6d10a3caebc3f9a61d",
       "19a8b01f14c07652cadaf51e25730e9b10a0cd13c6635ebea5b59ede9751c7fa")),
     (lambda: random_pointset(random.Random(24), 24), 11,
-     ("ea20c72f9b702f8ddbfd8959f4be7bf69cc846d944bbea3048c84df89c8c8e05",
+     ("da08e1a65a1f86cc12b13a4e9c407bfcfb211439cd93c8a1d227a38b338af236",
       "392aee73232e9a44a1ea58822793ae9b65a961165aead87bfc0a42bc1cf7365b"),
-     ("67869a1ff0a30de4134f25689b2f99218e04525aa838a377a525cfd2e883be50",
+     ("7b345a5aae58c6f183273b3092aed88a647a9cd5a93596f32296cac2faefd02f",
       "c868225d42b305a8533aa3d27a2f29b9acad67ee55714084fdd795abd45302df")),
     (lambda: convex_position_points(12), 6,
      ("52937b9617c33b7bf6439e1a0b1ba44f4462ae2143605cf560ed7c6aef2bd705",
       "a806d7b563d420975057e85c455cf7dc3b99b98064907c3f4dc0dd4e0dcd642c"),
-     ("e376e09faca64199332027be72d0ca4f954a9e5b5fd9a21ae4dbde8a4f15d045",
+     ("6f08ad983c72f7b74e0fda0ebdbf8f4c8d2c00ee8e3950b8b23fe54564d9eaba",
       "8cefeaaf41a6aebbe8c46d3102710b4e5f52c04a25de4e18409a621eac7bf7a0")),
 ], ids=["n14_cf3-m3", "n9_cf2-m4", "random-24", "convex-12"])
 
@@ -611,6 +611,47 @@ def test_clique_search_visits_the_pinned_search_tree(points, cf, search, decide)
 def test_decide_search_visits_the_pinned_search_tree(points, cf, search, decide):
     adj = build_crossing_graph(points()).adjacency
     assert _search_tree_digests(adj, range(1, cf + 2)) == decide
+
+
+def _is_subsequence(short, long):
+    """True iff ``short`` is ``long`` with some items left out, in order."""
+    items = iter(long)
+    return all(item in items for item in short)
+
+
+def _assert_skips_only_calls_that_record_nothing(adj):
+    """``run()`` and ``run(t)`` for t = 1..cf+1 return the sibling-blind
+    search's answers, record its cliques and make a subsequence of its calls."""
+    cf = CliqueSearch(adj).run()[0]
+    for target in [None, *range(1, cf + 2)]:
+        result, records, calls = _traced_run(CliqueSearch, adj, target)
+        blind_result, blind_records, blind_calls = _traced_run(SiblingBlindSearch, adj, target)
+        assert (result, records) == (blind_result, blind_records)
+        assert _is_subsequence(calls, blind_calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_spent_sibling_skip_keeps_every_record_on_random_graphs(adj):
+    _assert_skips_only_calls_that_record_nothing(adj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 13), st.integers(0, 2**32))
+def test_spent_sibling_skip_keeps_every_record_on_crossing_graphs(n, seed):
+    _assert_skips_only_calls_that_record_nothing(
+        build_crossing_graph(random_pointset(random.Random(seed), n)).adjacency)
+
+
+@_PINNED_SEARCH_TREES
+def test_spent_sibling_skip_keeps_every_record_on_pinned_graphs(points, cf, search, decide):
+    _assert_skips_only_calls_that_record_nothing(build_crossing_graph(points()).adjacency)
+
+
+def test_spent_sibling_skip_searches_fewer_nodes():
+    adj = build_crossing_graph(_replica("n14_cf3", 3)).adjacency
+    calls = _traced_run(CliqueSearch, adj)[2]
+    assert len(calls) < 6000 < len(_traced_run(SiblingBlindSearch, adj)[2])
 
 
 @pytest.mark.parametrize("target", [0, -2])

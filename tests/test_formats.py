@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from crossfam.errors import ParseError
 from crossfam.formats import (
+    _parse_int,
     format_certificate,
     format_graph,
     format_pointset,
@@ -241,12 +242,44 @@ def test_parse_coord_forms():
         parse_coord("a/b")
 
 
+@pytest.mark.parametrize("token, value", [("0", 0), ("-12", -12), ("+3", 3), ("007", 7), ("-0", 0)])
+def test_parse_int_reads_signed_ascii_digits(token, value):
+    assert _parse_int(token) == value
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "\u00b2", " 1", "1\n", "", "+", "-",
+                                   "--1", "+-1", "1.0", "0x10", "1e3"])
+def test_parse_int_rejects_other_integer_syntax(token):
+    with pytest.raises(ValueError, match="invalid integer"):
+        _parse_int(token)
+
+
 # A well-formed text of each format, which format_texts mutates line by line.
 _POINTSET = "3\n0 0\n1 0\n0 1\n"
 _WITNESS = "k = 2\n0 1\n2 3\n"
 _GRAPH = "4\n0 0\n2 0\n1/2 1\n-1 3/4\nedges\n0 1\n2 3\n"
 _CERTIFICATE = "epsilon: 1/8\nm: 2\nsource_n: 5\ncluster_isolation: true\ncopy_order: false\n"
 _CONFIG = "n = 8\nk = 3\nseed = 0\niterations = 10\nstep_sigma = 2.5\ngrid_bound = 64\n"
+
+
+# Each integer field of each format, with {} where the token goes.
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_pointset, "{}\n0 0\n1 0\n0 1\n", "line 1: invalid point count"),
+    (parse_pointset, "3\n0 {}\n1 0\n0 1\n", "line 2: bad coordinate"),
+    (parse_pointset, "3\n0 0\n1/{} 0\n0 1\n", "line 3: bad coordinate"),
+    (parse_witness, "k = {}\n0 1\n", "line 1: bad family size"),
+    (parse_witness, "k = 1\n0 {}\n", "line 2: bad point index"),
+    (parse_graph, "2\n0 0\n1 0\nedges\n{} 1\n", "line 5: bad point index"),
+    (parse_certificate, _CERTIFICATE.replace("1/8", "1/{}"), "bad certificate field 'epsilon'"),
+    (parse_certificate, _CERTIFICATE.replace("m: 2", "m: {}"), "bad certificate field 'm'"),
+    (parse_certificate, _CERTIFICATE.replace("_n: 5", "_n: {}"), "bad certificate field 'source_n'"),
+], ids=["count", "coordinate", "denominator", "k", "index", "edge", "epsilon", "m", "source_n"])
+@pytest.mark.parametrize("token", ["1_0", "\u0663"], ids=["underscore", "arabic-indic"])
+def test_parsers_reject_python_only_integer_syntax(parse, text, message, token):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text.format(token))
+    error = str(excinfo.value)
+    assert error.startswith(message) and token in error and "\n" not in error
 
 
 class TestParserProperties:

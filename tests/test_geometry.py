@@ -87,6 +87,12 @@ class TestOrientation:
         with pytest.raises(TypeError):
             Point(0.5, 1)
 
+    @pytest.mark.parametrize("coords", [[(True, 0), (0, 1), (2, 5)], [(0, 0), (1, False)]])
+    def test_rejects_bool_coordinates(self, coords):
+        # format_pointset would write True or False, which parse_pointset rejects
+        with pytest.raises(TypeError, match="got bool"):
+            PointSet.from_coords(coords)
+
 
 class TestSegment:
     def test_endpoints_sorted(self):

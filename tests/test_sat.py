@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import stat
 import threading
 import tracemalloc
@@ -192,6 +193,17 @@ class TestDimacs:
         emit_dimacs(cnf, sink)
         assert b"\r" not in sink.getvalue()
 
+    @pytest.mark.parametrize("text, error", [
+        ("p cnf 10 1\n1_0 -2 0\n", "line 2: bad literal '1_0'"),
+        ("p cnf 10 1\n1 -\u0663 0\n", "line 2: bad literal '-\u0663'"),
+        ("p cnf 1_0 1\n1 0\n", "line 1: bad variable count '1_0'"),
+        ("p cnf 3 \u0663\n1 0\n", "line 1: bad clause count '\u0663'"),
+    ])
+    def test_python_only_integer_syntax(self, text, error):
+        with pytest.raises(ParseError) as excinfo:
+            parse_dimacs(text)
+        assert str(excinfo.value) == error
+
     def test_file_output(self, tmp_path):
         cnf, _ = encode_no_k_family(4, 2)
         path = tmp_path / "out.cnf"
@@ -289,10 +301,10 @@ class TestDimacs:
 
 
 def _reference_int(tok, what, lineno):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"bad {what} {tok!r}", lineno) from None
+    """``tok`` as an integer when it is ``[+-]?[0-9]+``, else a ``ParseError``."""
+    if re.fullmatch(r"[+-]?[0-9]+", tok, re.ASCII) is None:
+        raise ParseError(f"bad {what} {tok!r}", lineno)
+    return int(tok)
 
 
 def reference_parse_dimacs(text):
@@ -360,7 +372,7 @@ def dimacs_texts(draw):
         st.integers(-num_vars, num_vars).map(str),                     # in range, or 0
         st.sampled_from(["+3", "03", "-03", "+0", "00", "-0", "1_0"]),  # non-canonical
         st.integers(num_vars + 1, 99).map(lambda v: str(v if v % 2 else -v)),  # out of range
-        st.sampled_from(["x", "1.5", "--1"]),                          # not an integer
+        st.sampled_from(["x", "1.5", "--1", "\u0663", "1\u0663"]),         # not an integer
     )
     clause_line = st.lists(token, max_size=7).map(lambda toks: toks + ["0"])
     free_line = st.lists(token, max_size=7)
@@ -414,6 +426,10 @@ class TestDimacsProperties:
         "p cnf 3 2\n1 0\n",                   # wrong declared count
         "p cnf 3 1\n1 x 0\n",                 # non-integer literal
         "p cnf x 1\n1 0\n",                   # non-integer problem field
+        "p cnf 10 1\n1_0 -2 0\n",             # Python-only integer syntax
+        "p cnf 10 1\n1 -\u0663 0\n",
+        "p cnf 1_0 1\n1 0\n",
+        "p cnf 3 \u0663\n1 0\n",
         "0\np cnf 3 1\n",                     # clause before the problem line
         # a second problem line is rejected, also after a fully tabulated first one
         "p cnf 3 2\nc " + "." * 256 + "\n3 0\np cnf 1 1\n3 0\n",
@@ -809,11 +825,17 @@ class TestParseModel:
         with pytest.raises(ParseError):
             parse_model("1 two 3", 3)
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "-\u0663"])
+    def test_python_only_integer_syntax(self, token):
+        with pytest.raises(ParseError) as excinfo:
+            parse_model(f"v 1 2\nv {token} 0\n", 10)
+        assert str(excinfo.value) == f"line 2: bad model token {token!r}"
+
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(
         st.lists(st.lists(st.sampled_from(
             ["v", "c", "s", "SATISFIABLE", "0", "1", "-1", "2", "-2", "3", "-3", "4",
-             "+1", "01", "-0", "1.0", "x", "v1", "--2", "1_0"]), max_size=6).map(" ".join),
+             "+1", "01", "-0", "1.0", "x", "v1", "--2", "1_0", "\u0663"]), max_size=6).map(" ".join),
             max_size=6).map("\n".join),
         st.text(max_size=40),
     ), st.integers(0, 4))
