@@ -8,7 +8,9 @@ reduced rationals written ``p/q``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -214,21 +216,28 @@ _FLAGS = {"true": True, "false": False}
 _CERTIFICATE_KEYS = ("epsilon", "m", "source_n", "cluster_isolation", "copy_order")
 
 
+def _key_values(text: str, form: str, what: str, keys: Sequence[str]) -> dict[str, str]:
+    """The stripped value of each key of the ``form`` ('key: value', 'key = value') lines."""
+    sep = form[len("key"):].split()[0]
+    values: dict[str, str] = {}
+    for lineno, line in _content_lines(text):
+        key, found, value = line.partition(sep)
+        if not found:
+            raise ParseError(f"expected {form!r}, got {line!r}", lineno)
+        key = key.strip()
+        if key not in keys:
+            raise ParseError(f"unknown {what} {key!r}", lineno)
+        if key in values:
+            raise ParseError(f"duplicate {what} {key!r}", lineno)
+        values[key] = value.strip()
+    return values
+
+
 def parse_certificate(text: str):
     """Replication certificates: each field of :func:`format_certificate` once."""
     from .replication import ReplicationCertificate
 
-    values: dict[str, str] = {}
-    for lineno, line in _content_lines(text):
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'key: value', got {line!r}", lineno)
-        key = key.strip()
-        if key not in _CERTIFICATE_KEYS:
-            raise ParseError(f"unknown certificate field {key!r}", lineno)
-        if key in values:
-            raise ParseError(f"duplicate certificate field {key!r}", lineno)
-        values[key] = value.strip()
+    values = _key_values(text, "key: value", "certificate field", _CERTIFICATE_KEYS)
 
     def field(key, convert, valid=lambda value: True):
         if key not in values:
@@ -251,52 +260,40 @@ def parse_certificate(text: str):
     )
 
 
-_SEARCH_KEYS = {
-    "n": int,
-    "k": int,
-    "seed": int,
-    "iterations": int,
-    "initial_temperature": float,
-    "cooling_rate": float,
-    "step_sigma": float,
-    "grid_bound": int,
-}
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _parse_decimal(token: str) -> float:
+    """The float of an ASCII decimal such as ``str(float)`` writes, else ``ValueError``."""
+    if _DECIMAL.fullmatch(token):
+        return float(token)
+    raise ValueError(f"invalid decimal {token!r}")
 
 
 def parse_search_config(text: str):
     """Search configs are 'key = value' lines; optional key 'initial' names a point-set file.
 
-    Returns (SearchConfig, initial path or None).
+    The other keys are the fields of ``SearchConfig``, each an ASCII integer
+    or decimal as its type is. Returns (SearchConfig, initial path or None).
     """
     from .search import SearchConfig
 
-    raw: dict[str, str] = {}
-    for lineno, line in _content_lines(text):
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(f"expected 'key = value', got {line!r}", lineno)
-        key = key.strip()
-        if key != "initial" and key not in _SEARCH_KEYS:
-            raise ParseError(f"unknown config key {key!r}", lineno)
-        if key in raw:
-            raise ParseError(f"duplicate config key {key!r}", lineno)
-        raw[key] = value.strip()
-    initial = raw.pop("initial", None)
+    fields = dataclasses.fields(SearchConfig)
+    raw = _key_values(text, "key = value", "config key", [f.name for f in fields] + ["initial"])
     kwargs = {}
-    for key, value in raw.items():
-        try:
-            kwargs[key] = _SEARCH_KEYS[key](value)
-        except ValueError:
-            raise ParseError(f"bad value for {key!r}: {value!r}") from None
-    try:
-        cfg = SearchConfig(**kwargs)
-    except TypeError as exc:
-        raise ParseError(f"incomplete search config: {exc}") from None
-    return cfg, initial
+    for f in fields:
+        if f.name in raw:
+            try:
+                kwargs[f.name] = (_parse_decimal if f.type == "float" else _parse_int)(raw[f.name])
+            except ValueError:
+                raise ParseError(f"bad value for {f.name!r}: {raw[f.name]!r}") from None
+        elif f.default is dataclasses.MISSING:
+            raise ParseError(f"missing config key {f.name!r}")
+    return SearchConfig(**kwargs), raw.get("initial")
 
 
 def format_search_config(cfg, initial: str | None = None) -> str:
-    lines = [f"{key} = {getattr(cfg, key)}" for key in _SEARCH_KEYS]
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in dataclasses.fields(cfg)]
     if initial:
         lines.append(f"initial = {initial}")
     return "\n".join(lines) + "\n"

@@ -42,14 +42,17 @@ the text read so far, when its length is unknown, as for a pipe). Each
 slice after the problem line is read as one token stream: its tokens are
 looked up in the table in one ``map``, and when every clause of the slice
 has the first one's width the clause tuples are built in C by zipping the
-columns of that list, else the list is cut at each 0. Lines are then counted by their ``\\n`` (and lone ``\\r``), which needs the
-slice to be ASCII and to hold no other break of ``str.splitlines``. Any
-other slice (a token that misses the table, such as a comment, ``+3``,
-``03``, ``-0`` or a literal out of range; a clause pending from the slice
-before or left open at its end; another line break) goes line by line through
-the checked branch, the only place that raises. Its per-line fast branch
-takes a line that ends in ``0`` and holds no other ``0`` while no clause is
-pending. ``parse_model`` reads its lines through ``_lines``.
+columns of that list, else the list is cut at each 0. Lines are then
+counted by their ``\\n`` (and lone ``\\r``), which needs the slice to be
+ASCII and to hold no other break of ``str.splitlines``. Any other slice (a
+token that misses the table, such as a comment, ``+3``, ``03``, ``-0`` or a
+literal out of range; a clause pending from the slice before or left open
+at its end; another line break) goes line by line through the checked
+branch, the only place that raises, which also looks each token up in the
+table first and converts and range-checks only a miss. The slice holding
+the problem line goes through the checked branch up to that line; the rest
+of it is handed back as a slice of its own, so it is read as a token stream
+too. ``parse_model`` reads its lines through ``_lines``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, U
 from .chirotope import _segment_offsets
 from .errors import NotGeneralPositionError, ParseError, SignotopeViolationError
 from .formats import _parse_int, write_atomic
-from .geometry import PointSet, Segment
+from .geometry import PointSet
 
 Assignment = list[bool]
 
@@ -121,10 +124,10 @@ class VarMap:
             raise self._label_error((p, q, r), f"triple {(p, q, r)} repeats a label") from None
         return -var if ((p > q) + (p > r) + (q > r)) & 1 else var
 
-    def pair_var(self, s1, s2) -> int:
-        """Variable id of the unordered pair of disjoint segments."""
-        a, b = sorted((s1.a, s1.b) if isinstance(s1, Segment) else s1)
-        c, d = sorted((s2.a, s2.b) if isinstance(s2, Segment) else s2)
+    def pair_var(self, s1: tuple[int, int], s2: tuple[int, int]) -> int:
+        """Variable id of the unordered pair of disjoint segments, each a label pair."""
+        a, b = sorted(s1)
+        c, d = sorted(s2)
         if (a, b) > (c, d):
             (a, b), (c, d) = (c, d), (a, b)
         quad = tuple(sorted((a, b, c, d)))
@@ -218,15 +221,14 @@ def encode_no_k_family(n: int, k: int) -> tuple[Cnf, VarMap]:
     return Cnf(vm.num_vars, clauses, sections=(g1, g2, g3)), vm
 
 
-def default_dimacs_comments(vm: VarMap, k: Optional[int] = None) -> list[str]:
-    lines = [
-        f"order-type instance on n={vm.n} points" + (f", excluding {k}-crossing families" if k else ""),
+def default_dimacs_comments(vm: VarMap, k: int) -> list[str]:
+    return [
+        f"order-type instance on n={vm.n} points, excluding {k}-crossing families",
         f"vars 1..{vm.num_triple_vars}: X(a,b,c) for a<b<c lexicographic; true = counterclockwise",
         f"vars {vm.num_triple_vars + 1}..{vm.num_vars}: Y(ab,cd) per 4-subset w<x<y<z,",
         "  pairings (wx|yz), (wy|xz), (wz|xy) in that order; true = segments cross",
         "clause groups: orientation-sequence axioms, crossing biconditional, family exclusion",
     ]
-    return lines
 
 
 def emit_dimacs(cnf: Cnf, out: Union[str, Path, BinaryIO], comments: Iterable[str] = ()) -> None:
@@ -335,7 +337,8 @@ def _parse_slices(pieces: Iterable[str], size: int) -> Cnf:
     top = 0
     read = 0  # characters in the pieces so far, this one included
     lineno = 0  # lines before the piece
-    for piece in pieces:
+    pieces = iter(pieces)
+    while (piece := next(pieces, None)) is not None:
         read += len(piece)
         if num_vars is not None and top < num_vars and top < read // 64:
             grown = min(num_vars, read // 64)
@@ -359,17 +362,10 @@ def _parse_slices(pieces: Iterable[str], size: int) -> Cnf:
                         lineno += piece.count("\r") - piece.count("\r\n")
                     continue
         # the checked branch, line by line: the only place that raises
-        for lineno, raw in enumerate(piece.splitlines(), start=lineno + 1):
+        first = lineno
+        lines = piece.splitlines(keepends=True)
+        for lineno, raw in enumerate(lines, start=first + 1):
             toks = raw.split()
-            if toks and toks[-1] == "0" and not pending and num_vars is not None:
-                try:
-                    clause = tuple(map(lookup, toks[:-1]))
-                except KeyError:
-                    pass
-                else:
-                    if 0 not in clause:
-                        clauses.append(clause)
-                        continue
             if not toks or toks[0].startswith("c"):
                 continue
             if toks[0].startswith("p"):
@@ -385,18 +381,24 @@ def _parse_slices(pieces: Iterable[str], size: int) -> Cnf:
                     raise ParseError(f"negative clause count {declared}", lineno)
                 top = min(num_vars, max(size, read) // 64)
                 table.update(_literal_texts(0, top))
-                continue
+                # the rest of the piece goes back in front, to be read as a token stream
+                rest = "".join(lines[lineno - first:])
+                read -= len(rest)
+                pieces = chain((rest,), pieces)
+                break
             if num_vars is None:
                 raise ParseError("clause before problem line", lineno)
             for tok in toks:
-                lit = _int_token(tok, "literal", lineno)
-                if lit == 0:
-                    clauses.append(tuple(pending))
-                    pending = []
-                else:
+                lit = table.get(tok)
+                if lit is None:
+                    lit = _int_token(tok, "literal", lineno)
                     if abs(lit) > num_vars:
                         raise ParseError(f"literal {lit} exceeds {num_vars} variables", lineno)
+                if lit:
                     pending.append(lit)
+                else:
+                    clauses.append(tuple(pending))
+                    pending = []
     if pending:
         clauses.append(tuple(pending))
     if num_vars is None:

@@ -206,10 +206,14 @@ class TestCertificateFormat:
 
 
 class TestSearchConfigFormat:
-    def test_round_trip(self):
-        cfg = SearchConfig(n=9, k=3, seed=17, iterations=5000,
-                           initial_temperature=1.5, cooling_rate=0.995,
-                           step_sigma=2.5, grid_bound=200)
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(n=9, k=3, seed=17, iterations=5000, initial_temperature=1.5,
+                     cooling_rate=0.995, step_sigma=2.5, grid_bound=200),
+        # str(float) writes 1e-05 in exponent notation
+        SearchConfig(n=9, k=3, seed=0, iterations=10, initial_temperature=1e-05,
+                     cooling_rate=0.99996),
+    ], ids=["decimals", "exponent"])
+    def test_round_trip(self, cfg):
         parsed, initial = parse_search_config(format_search_config(cfg))
         assert parsed == cfg and initial is None
 
@@ -225,6 +229,22 @@ class TestSearchConfigFormat:
     def test_incomplete_config_rejected(self):
         with pytest.raises(ParseError):
             parse_search_config("n = 7\nk = 3\n")
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_search_config("n = 7\nk = 3\nseed = 1\n")
+        assert str(excinfo.value) == "missing config key 'iterations'"
+
+    @pytest.mark.parametrize("key, token", [
+        ("n", "1_0"), ("k", "\u0663"), ("iterations", "1.0"), ("step_sigma", "1_0.5"),
+        ("step_sigma", "\u0663.5"), ("initial_temperature", "nan"), ("initial_temperature", "inf"),
+        ("cooling_rate", "-inf"), ("cooling_rate", "0x1p-1"), ("step_sigma", "."),
+    ])
+    def test_python_only_number_syntax_rejected(self, key, token):
+        lines = [line for line in _CONFIG.splitlines() if not line.startswith(f"{key} ")]
+        with pytest.raises(ParseError) as excinfo:
+            parse_search_config("\n".join(lines + [f"{key} = {token}"]))
+        assert str(excinfo.value) == f"bad value for {key!r}: {token!r}"
 
 
 def test_trace_csv_header_and_rows():

@@ -586,7 +586,42 @@ def _clause_across_a_cut(text, at, size):
     return changed
 
 
+def _comment_every(lines):
+    """From the line at ``at`` on, a comment after every ``lines``-th line."""
+    def change(text, at, size):
+        start, _ = _line_at(text, at)
+        body = text[start:].splitlines(True)
+        return text[:start] + "".join(line + "c note\n" * (i % lines == 0)
+                                      for i, line in enumerate(body, start=1))
+    return change
+
+
+def _clauses_over_two_lines(text, at, size):
+    """From the line at ``at`` on, each clause breaks after its first literal."""
+    start, _ = _line_at(text, at)
+    return text[:start] + re.sub(r"(?m)^(\S+) ", "\\1\n", text[start:])
+
+
+def _then_bad_last_line(change):
+    """``change``, then the first token of the last line becomes ``x``."""
+    def both(text, at, size):
+        text = change(text, at, size)
+        return _first_token("x")(text, text.rindex("\n", 0, len(text) - 1) + 1, size)
+    return both
+
+
+# changes from ``at`` to the end of the text; each also runs ending in a bad line
+_SPREAD_SEAMS = {
+    "comment-after-every-line": _comment_every(1),
+    "comment-after-every-20-lines": _comment_every(20),
+    "comment-after-every-2000-lines": _comment_every(2000),
+    "clauses-over-two-lines": _clauses_over_two_lines,
+}
+
 _SEAMS = {
+    **_SPREAD_SEAMS,
+    **{seam + "-then-error": _then_bad_last_line(change) for seam, change in _SPREAD_SEAMS.items()},
+    "second-problem-line": _insert(f"p cnf {_SEAM_VARS} 1\n"),
     "comment": _insert("c note\n"),
     "minus-zero": _first_token("-0"),
     "plus-sign": _first_token("+3"),
@@ -638,17 +673,42 @@ class TestReaderSeams:
     def test_every_seam_changes_the_outcome_or_the_clauses(self):
         reference = _outcome(reference_parse_dimacs, _SEAM_TEXT)
         for seam, change in _SEAMS.items():
-            if seam not in ("comment", "clause-across-a-cut"):
+            if seam not in ("comment", "clause-across-a-cut", *_SPREAD_SEAMS):
                 text = change(_SEAM_TEXT, 20_000, sat._READ_SLICE)
                 assert _outcome(reference_parse_dimacs, text) != reference, seam
+
+    @pytest.mark.parametrize("seam", ["second-problem-line", "out-of-range"])
+    @pytest.mark.parametrize("after", [1, 2_000], ids=["next-line", "later"])
+    def test_change_in_the_rest_of_the_problem_line_slice(self, tmp_path, seam, after):
+        at = _SEAM_TEXT.index("\n", _SEAM_TEXT.index("p cnf")) + after
+        changed = _SEAMS[seam](_SEAM_TEXT, at, sat._READ_SLICE)
+        assert at < len(next(sat._slices(changed)))
+        path = tmp_path / "seam.cnf"
+        path.write_text(changed, encoding="ascii")
+        expected = _outcome(reference_parse_dimacs, changed)
+        assert expected[0] == "error" and expected[2] > 1
+        assert _outcome(parse_dimacs, changed) == expected
+        assert _outcome(read_dimacs, path) == expected
 
     @pytest.mark.parametrize("n, k", _BENCHMARK_SIZES)
     def test_round_trip_on_the_benchmark_sizes(self, tmp_path, n, k):
         cnf, text = _emitted(n, k)
         path = tmp_path / "inst.cnf"
         path.write_text(text, encoding="ascii")
-        for back in (parse_dimacs(text), read_dimacs(path)):
+        zeros = []
+        add = sat._add_clauses
+
+        def counting(clauses, ints):
+            zeros.append(ints.count(0))
+            add(clauses, ints)
+
+        for parse, source in ((parse_dimacs, text), (read_dimacs, path)):
+            zeros.clear()
+            with mock.patch.object(sat, "_add_clauses", counting):
+                back = parse(source)
             assert (back.num_vars, back.clauses) == (cnf.num_vars, cnf.clauses)
+            # every clause is read in a token stream, those of the problem line's slice too
+            assert sum(zeros) == len(cnf.clauses)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_read_from_a_pipe(self, tmp_path):
@@ -734,7 +794,7 @@ class TestAssignmentFromPointset:
             expected[vm.triple_var(a, b, c)] = orientation(P[a], P[b], P[c]) > 0
         for s1, s2 in combinations(all_segments(len(P)), 2):
             if not s1.shares_endpoint(s2):
-                expected[vm.pair_var(s1, s2)] = segments_cross(P, s1, s2)
+                expected[vm.pair_var((s1.a, s1.b), (s2.a, s2.b))] = segments_cross(P, s1, s2)
         assert assignment_from_pointset(S, vm) == expected
 
     def test_duplicate_x_rejected(self):
