@@ -6,12 +6,14 @@ cliques. Its rows are the ones the point set keeps,
 ``PointSet.crossing_rows``, so every question asked of one set shares one
 graph. The optimizer is a branch-and-bound maximum-clique search with a
 greedy-coloring upper bound over bitset adjacency rows, processing vertices
-in degeneracy order; where the bound is tight, a colour-class cut skips the
-branches that cannot hold an improving clique, and a child whose candidates
-lie inside those of a sibling that recorded nothing is not searched. The
-maximum search starts from all but the last vertex of a greedy clique, so
-the bound cuts from the first node on, while the witness is still a clique
-the search found itself.
+in degeneracy order. Bit p of the search's rows is the p-th vertex the
+degeneracy peel removes, so the densest core sits in the top bits, where
+``int.bit_length`` finds it without building a negative int. Where the
+bound is tight, a colour-class cut skips the branches that cannot hold an
+improving clique, and a child whose candidates lie inside those of a
+sibling that recorded nothing is not searched. The maximum search starts
+from all but the last vertex of a greedy clique, so the bound cuts from the
+first node on, while the witness is still a clique the search found itself.
 The relabelled graph a search runs on is a pure function of the rows, so
 every search on the same rows in one process (``max_crossing_family``,
 then ``has_k_family`` at cf + 1) shares one relabelling; no search result
@@ -74,10 +76,17 @@ class CliqueSearch:
     """Deterministic branch-and-bound maximum-clique search on bitset adjacency.
 
     Vertices are relabeled so that the densest core (the tail of the
-    degeneracy order) is explored first. A node splits its candidates into
-    greedy colour classes, one bitset each, at one AND per coloured vertex,
-    and walks them from the top class down (each from its highest label),
-    cutting when the clique plus the class index cannot beat the incumbent.
+    degeneracy order) is explored first: position p, bit p of every row, is
+    the p-th vertex the peel removes. A node splits its candidates into
+    greedy colour classes, one bitset each, taking the highest candidate
+    bit first; each coloured vertex costs one ``bit_length`` and one AND
+    with its skip row, ``full ^ (row | bit)``, and every int stays
+    non-negative (``x & -x`` and an AND with a negative int take CPython's
+    slower two's-complement path, and colouring runs once per candidate at
+    every node). The node walks the classes from the top class down, each
+    from its lowest bit, the vertex peeled earliest, cutting when the
+    clique plus the class index cannot beat the incumbent. Branching costs
+    one ``x & -x`` per child, not per coloured vertex.
     ``best_size``/``best`` are readable mid-run, so callers may inspect
     progress after an interrupt.
 
@@ -106,17 +115,17 @@ class CliqueSearch:
 
     Without a target, the search starts from a greedy incumbent, in the
     style of the heuristic start of BBMCSP (San Segundo et al.): one dive
-    takes the candidate with the most candidate neighbours (ties: lowest
-    label) until none is left, and the first g - 1 vertices of the g-clique
-    it finds are recorded before the first node. The floor is g - 1, not g,
-    so the search must still reach a g-clique itself. The plain colour bound
-    visits nodes in an order that does not depend on the incumbent and cuts
-    only subtrees with no clique above it, so from any incumbent below the
-    maximum it records the same first maximum clique, and so does the
-    colour-class cut: the answer and witness are an empty start's, and only
-    nodes are saved. A floor of g would keep the greedy clique as the
-    witness whenever it is maximum. The decision search (a target) does not
-    dive.
+    takes the candidate with the most candidate neighbours (ties: highest
+    position) until none is left, and the first g - 1 vertices of the
+    g-clique it finds are recorded before the first node. The floor is
+    g - 1, not g, so the search must still reach a g-clique itself. The
+    plain colour bound visits nodes in an order that does not depend on the
+    incumbent and cuts only subtrees with no clique above it, so from any
+    incumbent below the maximum it records the same first maximum clique,
+    and so does the colour-class cut: the answer and witness are an empty
+    start's, and only nodes are saved. A floor of g would keep the greedy
+    clique as the witness whenever it is maximum. The decision search (a
+    target) does not dive.
 
     The degeneracy order is computed bit-parallel, in the style of the
     BBMC family of solvers (San Segundo et al.): the degrees are held as one
@@ -136,6 +145,7 @@ class CliqueSearch:
     def __init__(self, adjacency: Sequence[int]):
         self._to_original, self._adj, self._skip = _layout(tuple(adjacency))
         self._n = len(self._adj)
+        self._bits = _bits(self._n)
         self.best_size = 0
         self.best: tuple[int, ...] = ()
         self._target: Optional[int] = None
@@ -168,9 +178,9 @@ class CliqueSearch:
 
     def _greedy_clique(self) -> list[int]:
         """A maximal clique built by repeatedly taking the candidate with the
-        most candidate neighbours (ties: lowest label)."""
+        most candidate neighbours (ties: highest position, peeled last)."""
         adj, clique = self._adj, []
-        cand, verts = (1 << self._n) - 1, range(self._n)
+        cand, verts = (1 << self._n) - 1, range(self._n - 1, -1, -1)
         while verts:
             v = max(verts, key=lambda u: (adj[u] & cand).bit_count())
             clique.append(v)
@@ -185,15 +195,15 @@ class CliqueSearch:
             raise _TargetReached
 
     def _expand(self, clique: list[int], cand: int) -> None:
-        adj, skip = self._adj, self._skip
+        adj, skip, bits = self._adj, self._skip, self._bits
         classes: list[int] = []
         rest = cand
         while rest:
             avail = start = rest
             while avail:
-                bit = avail & -avail
-                avail &= skip[bit.bit_length() - 1]
-                rest ^= bit
+                p = avail.bit_length() - 1
+                avail &= skip[p]
+                rest ^= bits[p]
             classes.append(start ^ rest)
         depth = len(clique)
         top = len(classes)
@@ -214,8 +224,8 @@ class CliqueSearch:
             while cls:
                 if depth + bound <= self.best_size:
                     return
-                v = cls.bit_length() - 1
-                bit = 1 << v
+                bit = cls & -cls
+                v = bit.bit_length() - 1
                 cls ^= bit
                 clique.append(v)
                 if len(clique) > self.best_size:
@@ -237,43 +247,45 @@ def _layout(
     """(to_original, relabelled rows, skip rows) of :class:`CliqueSearch` on
     ``adjacency``: a pure function of the rows, cached for the last graph."""
     n = len(adjacency)
+    full = (1 << n) - 1
     # Repeatedly remove a minimum-degree vertex (ties: smallest index) and
-    # give the k-th removed the internal label n-1-k, so label 0 is the
-    # last removed (highest core number). inv[j] holds the complement of
-    # bit j of the degree of every vertex; the dead ones are masked out
-    # by ``alive``.
+    # give the p-th removed position p, so position n-1 is the last removed
+    # (highest core number). inv[j] holds the complement of bit j of the
+    # degree of every vertex, within ``full`` so that no plane is negative;
+    # the dead ones are masked out by ``alive``.
     degs = [row.bit_count() for row in adjacency]
     width = (max(degs).bit_length() or 1) if n else 0
     digits = "".join([format(d, f"0{width}b") for d in reversed(degs)])
-    inv = [~int(digits[width - 1 - j::width], 2) for j in range(width)]
-    alive = (1 << n) - 1
-    order = [0] * n
-    for new in range(n - 1, -1, -1):
+    inv = [full ^ int(digits[width - 1 - j::width], 2) for j in range(width)]
+    alive = full
+    order = []
+    for _ in range(n):
         low = alive
         for plane in reversed(inv):
             zeros = low & plane
             if zeros:
                 low = zeros
-        low &= -low
+        low ^= low & (low - 1)  # its lowest bit, with no negative int
         v = low.bit_length() - 1
         alive ^= low
-        order[new] = v
+        order.append(v)
         borrow = adjacency[v] & alive
         for j, plane in enumerate(inv):
             if not borrow:
                 break
             inv[j] = plane ^ borrow
             borrow &= plane
-    # Relabel by one transposition: write the rows in the new order, new
-    # label n-1 first, as one text; every n-th character from n-1-u on is
-    # then the row of original vertex u in new labels, since the adjacency
-    # is symmetric.
+    # Relabel by one transposition: write the rows in the new order,
+    # position n-1 first, as one text; every n-th character from n-1-u on
+    # is then the row of original vertex u in positions, since the
+    # adjacency is symmetric.
     text = bytearray()
     for v in reversed(order):
         text += format(adjacency[v], f"0{n}b").encode()
     adj = tuple([int(text[n - 1 - v::n], 2) for v in order])
-    # skip[v] clears v and its neighbours: one AND per colouring step
-    skip = tuple([~(row | 1 << v) for v, row in enumerate(adj)])
+    # skip[p] clears p and its neighbours: one AND of non-negative ints per
+    # colouring step
+    skip = tuple([full ^ (row | 1 << p) for p, row in enumerate(adj)])
     return tuple(order), adj, skip
 
 
@@ -286,20 +298,24 @@ def _transversal_top(adj: Sequence[int], classes: list[int]) -> int:
     other class, since a clique with one vertex in every class cannot hold
     it. Returns 0 as soon as a class empties: no such clique exists.
     """
+    bits = _bits(len(adj))
     classes = list(classes)
     changed = True
     while changed:
         changed = False
         for i, cls in enumerate(classes):
+            # each vertex is tested against the other classes only, which
+            # stay fixed during the walk, so its order (top bit first, no
+            # negative int) does not change the survivors
             others = classes[:i] + classes[i + 1:]
             keep = rest = cls
             while rest:
-                bit = rest & -rest
-                rest ^= bit
-                row = adj[bit.bit_length() - 1]
+                v = rest.bit_length() - 1
+                rest ^= bits[v]
+                row = adj[v]
                 for other in others:
                     if not row & other:
-                        keep ^= bit
+                        keep ^= bits[v]
                         break
             if keep != cls:
                 if not keep:
@@ -331,9 +347,9 @@ def has_k_family(S: PointSet, k: int) -> Optional[CrossingFamily]:
     return tuple(segments[v] for v in vertices)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _bits(n: int) -> tuple[int, ...]:
-    """The single-bit masks ``1 << i`` for i < n, built once per size."""
+    """The single-bit masks ``1 << i`` for i < n, kept for the last size."""
     return tuple([1 << i for i in range(n)])
 
 

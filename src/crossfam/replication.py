@@ -21,14 +21,14 @@ copies.
 
 Most spacings the search tries fail, so it screens each one before building
 its replica. The screen reads only the lines through two copies of one
-source and the lines through two sources, with ``chirotope.pair_masks`` on
-integer coordinates it builds from the source and eps. It refutes a spacing
-that collides coordinates or puts a third point on one of those lines,
-breaks copy order, or lets a segment between two sources cross a segment
-between two copies of a third. A refuted spacing is halved at once. Only the
-full pass accepts a spacing, so the search returns the spacing, replica and
-certificate it would return without the screen. An explicit epsilon is never
-screened.
+source, with ``chirotope.pair_masks``, and the lines through two sources,
+sweeping only the clusters near each, on integer coordinates it builds from
+the source and eps. It refutes a spacing that collides coordinates or puts a
+third point on one of those lines, breaks copy order, or lets a segment
+between two sources cross a segment between two copies of a third. A
+refuted spacing is halved at once. Only the full pass accepts a spacing, so
+the search returns the spacing, replica and certificate it would return
+without the screen. An explicit epsilon is never screened.
 """
 
 from __future__ import annotations
@@ -273,6 +273,10 @@ class _SpacingScreen:
       of a third source s, which breaks cluster isolation: the line of the
       sources a, b splits the copies of s, and the line through a copy q
       left of it and a copy r right of it separates a from b.
+
+    The lines through two sources are read cluster by cluster
+    (:meth:`_source_masks`): a cluster whose source lies far from the line
+    lies wholly on its side, so only the clusters near the line are swept.
     """
 
     def __init__(self, S: PointSet, m: int):
@@ -287,6 +291,22 @@ class _SpacingScreen:
         self._line_pairs = [(v, u) for v, u, _, _ in self._lines]
         self._line_index = {(u, v): i for i, (v, u) in enumerate(self._line_pairs)}
         self._source_pairs = list(combinations(range(len(S)), 2))
+        # Per line through two sources a, b: |u_x| and |u_y| in source units,
+        # the copies of the sources left of it (the source's side mask, one
+        # copy of it per copy number), the |det| of each source against it
+        # and that of the nearest third source.
+        n = self._n
+        copies = sum(1 << (i * n) for i in range(m))
+        self._clusters = [copies << s for s in range(n)]
+        points = list(zip(self._x, self._y))
+        self._source_lines = []
+        for a, b in self._source_pairs:
+            ux, uy = self._x[b] - self._x[a], self._y[b] - self._y[a]
+            k = ux * self._y[a] - uy * self._x[a]
+            dist = [abs(ux * y - uy * x - k) for x, y in points]
+            nearest = sorted(dist)[2] if n > 2 else 0
+            self._source_lines.append(
+                (a, b, abs(ux), abs(uy), S.side_masks[a * n + b] * copies, dist, nearest))
 
     def refutes(self, eps: Fraction) -> bool:
         """True when the full replica at spacing ``eps`` cannot be certified."""
@@ -301,7 +321,7 @@ class _SpacingScreen:
         lines = pair_masks(coords, self._line_pairs)
         if lines is None or not _copy_order_holds(self._lines, lines):
             return True
-        sources = pair_masks(coords, self._source_pairs)
+        sources = self._source_masks(coords, ex, ey)
         if sources is None:
             return True
         layer = (1 << n) - 1  # one copy of every source
@@ -321,6 +341,54 @@ class _SpacingScreen:
                         if (line >> a ^ line >> b) & 1:
                             return True
         return False
+
+    def _source_masks(self, coords: list[tuple[int, int]],
+                      ex: Fraction, ey: Fraction) -> Optional[list[int]]:
+        """``pair_masks(coords, self._source_pairs)``, sweeping only the clusters near each line.
+
+        ``coords`` are the screen's at the scaled spacings ``ex`` and ``ey``:
+        source s at (X*dx, Y*dy), with (X, Y) its integer source coordinates
+        and dx, dy the spacings' denominators, and copy i of s moved from it
+        by (i*e_x, i*i*e_y), e_x and e_y their numerators. Against a line of
+        direction (u_x, u_y), a copy's determinant differs from its source's
+        by at most reach = (m-1)^2*|u_x|*e_y + (m-1)*|u_y|*e_x. A source
+        farther than reach from the line has all its copies strictly on its
+        side, as the source's side mask says, and none on the line; only
+        the clusters of the sources within reach are swept. The source
+        determinants are dx*dy times those of (X, Y), computed once per
+        line; mostly the nearest third source is beyond reach, and only the
+        clusters of a and b are swept.
+        """
+        n, m, clusters = self._n, self._m, self._clusters
+        dx, dy = ex.denominator, ey.denominator
+        scale = dx * dy
+        reach_x = (m - 1) ** 2 * dx * ey.numerator
+        reach_y = (m - 1) * dy * ex.numerator
+        out = []
+        for a, b, ux0, uy0, mask, dist, nearest in self._source_lines:
+            ax, ay = coords[a]
+            ux = coords[b][0] - ax
+            uy = coords[b][1] - ay
+            k = ux * ay - uy * ax  # orient(a, b, c) = ux*cy - uy*cx - k
+            reach = ux0 * reach_x + uy0 * reach_y
+            if nearest * scale > reach:
+                near = (a, b)
+            else:
+                near = [s for s, d in enumerate(dist) if d * scale <= reach]
+            on_line = 0
+            for s in near:
+                mask &= ~clusters[s]
+                for q in range(s, n * m, n):
+                    x, y = coords[q]
+                    det = ux * y - uy * x
+                    if det > k:
+                        mask |= 1 << q
+                    elif det == k:
+                        on_line += 1
+            if on_line > 2:  # a and b themselves are on the line
+                return None
+            out.append(mask)
+        return out
 
 
 def choose_epsilon(S: PointSet, m: int) -> Coord:

@@ -52,12 +52,15 @@ branch, the only place that raises, which also looks each token up in the
 table first and converts and range-checks only a miss. The slice holding
 the problem line goes through the checked branch up to that line; the rest
 of it is handed back as a slice of its own, so it is read as a token stream
-too. ``parse_model`` reads its lines through ``_lines``.
+too. The table of the last size read is kept, so ``parse_model`` looks its
+tokens up in the table its CNF was read with and converts only a miss; it
+reads its lines through ``_lines``.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from itertools import chain, combinations, groupby
 from operator import itemgetter
 from pathlib import Path
@@ -380,7 +383,8 @@ def _parse_slices(pieces: Iterable[str], size: int) -> Cnf:
                 if declared < 0:
                     raise ParseError(f"negative clause count {declared}", lineno)
                 top = min(num_vars, max(size, read) // 64)
-                table.update(_literal_texts(0, top))
+                table = dict(_literal_table(top))
+                lookup = table.__getitem__
                 # the rest of the piece goes back in front, to be read as a token stream
                 rest = "".join(lines[lineno - first:])
                 read -= len(rest)
@@ -406,6 +410,18 @@ def _parse_slices(pieces: Iterable[str], size: int) -> Cnf:
     if declared is not None and declared != len(clauses):
         raise ParseError(f"expected {declared} clauses, found {len(clauses)}")
     return Cnf(num_vars, clauses)
+
+
+@lru_cache(maxsize=1)
+def _literal_table(top: int) -> dict[str, int]:
+    """Canonical literal text -> int for the variables 1..top, and ``"0"``.
+
+    Kept for the last size, so a model read after its CNF shares the table
+    the CNF was read with. The table is shared: read it, or grow a copy.
+    """
+    table = {"0": 0}
+    table.update(_literal_texts(0, top))
+    return table
 
 
 def _literal_texts(low: int, high: int) -> Iterator[tuple[str, int]]:
@@ -517,6 +533,9 @@ def parse_model(text: str, num_vars: int) -> Assignment:
     """
     values: dict[int, bool] = {}
     done = False
+    # a model has at least two characters per literal: a bound like the
+    # CNF reader's, which it meets at the CNF's size
+    table = _literal_table(min(num_vars, len(text) // 2))
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line[0] in "cs":
@@ -527,13 +546,15 @@ def parse_model(text: str, num_vars: int) -> Assignment:
         if line.startswith("v"):
             line = line[1:]
         for tok in line.split():
-            lit = _int_token(tok, "model token", lineno)
+            lit = table.get(tok)
+            if lit is None:
+                lit = _int_token(tok, "model token", lineno)
+                if lit and abs(lit) > num_vars:
+                    raise ParseError(f"literal {lit} exceeds {num_vars} variables", lineno)
             if lit == 0:
                 done = True
                 break
             var = abs(lit)
-            if var > num_vars:
-                raise ParseError(f"literal {lit} exceeds {num_vars} variables", lineno)
             if values.get(var, lit > 0) != (lit > 0):
                 raise ParseError(f"conflicting values for variable {var}", lineno)
             values[var] = lit > 0

@@ -74,8 +74,8 @@ class ReferenceSearch(CliqueSearch):
             color += 1
             avail = rest
             while avail:
-                bit = avail & -avail
-                v = bit.bit_length() - 1
+                v = avail.bit_length() - 1
+                bit = 1 << v
                 avail ^= bit
                 avail &= ~self._adj[v]
                 rest ^= bit
@@ -112,9 +112,9 @@ class SiblingBlindSearch(CliqueSearch):
         while rest:
             avail = start = rest
             while avail:
-                bit = avail & -avail
-                avail &= skip[bit.bit_length() - 1]
-                rest ^= bit
+                v = avail.bit_length() - 1
+                avail &= skip[v]
+                rest ^= 1 << v
             classes.append(start ^ rest)
         depth = len(clique)
         top = len(classes)
@@ -129,8 +129,8 @@ class SiblingBlindSearch(CliqueSearch):
             while cls:
                 if depth + bound <= self.best_size:
                     return
-                v = cls.bit_length() - 1
-                bit = 1 << v
+                bit = cls & -cls
+                v = bit.bit_length() - 1
                 cls ^= bit
                 clique.append(v)
                 if len(clique) > self.best_size:

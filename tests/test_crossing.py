@@ -12,6 +12,7 @@ from crossfam.crossing import (
     CliqueSearch,
     _count_cliques,
     _count_cliques_meeting,
+    _transversal_top,
     brute_force_cf,
     build_crossing_graph,
     count_k_families,
@@ -252,7 +253,7 @@ class TestBruteForce:
 
 def _reference_relabel(adj):
     """Two-step reference: min-degree removal order (ties: smallest index),
-    reversed, then every row relabeled bit by bit."""
+    whose p-th vertex gets position p, then every row relabeled bit by bit."""
     degs = [row.bit_count() for row in adj]
     alive = set(range(len(adj)))
     order = []
@@ -263,7 +264,7 @@ def _reference_relabel(adj):
         for u in alive:
             if adj[v] >> u & 1:
                 degs[u] -= 1
-    to_original = order[::-1]
+    to_original = order
     rank = {old: new for new, old in enumerate(to_original)}
     relabeled = [0] * len(adj)
     for old, row in enumerate(adj):
@@ -405,17 +406,27 @@ def test_clique_counts_on_multipartite_graphs_match_elementary_symmetric(sizes, 
 
 
 def _traced_run(cls, adj, target=None):
-    """(result, recorded cliques, ``_expand`` calls (clique, cand)) of one search, in order."""
+    """(result, recorded cliques, ``_expand`` calls (clique, cand)) of one search, in order.
+
+    Cliques and candidate masks are written in labels: position p, the p-th
+    vertex the degeneracy peel removes, is label n - 1 - p, and a mask has
+    its n bits reversed. The pinned digests were recorded in labels, when
+    label 0 was the vertex peeled last.
+    """
     search = cls(adj)
+    n = search._n
     records, calls = [], []
     record, expand = search._record, search._expand
 
+    def labels(clique):
+        return tuple(n - 1 - p for p in clique)
+
     def traced_record(clique):
-        records.append(tuple(clique))
+        records.append(labels(clique))
         record(clique)
 
     def traced_expand(clique, cand):
-        calls.append((tuple(clique), cand))
+        calls.append((labels(clique), int(format(cand, f"0{n}b")[::-1], 2)))
         expand(clique, cand)
 
     search._record, search._expand = traced_record, traced_expand
@@ -452,6 +463,65 @@ def test_colour_class_cut_searches_fewer_nodes():
     assert len(calls) < len(reference_calls)
 
 
+def _reference_transversal_top(adj, classes):
+    """The colour-class cut on vertex sets: every round drops each vertex
+    with no neighbour in some other class, until a round drops none; the
+    last class, or 0 once a class empties."""
+    sets = [{v for v in range(len(adj)) if cls >> v & 1} for cls in classes]
+    while True:
+        dropped = [
+            (i, v) for i, members in enumerate(sets) for v in members
+            if not all(any(adj[v] >> u & 1 for u in other)
+                       for j, other in enumerate(sets) if j != i)
+        ]
+        if not dropped:
+            return sum(1 << v for v in sets[-1])
+        for i, v in dropped:
+            sets[i].discard(v)
+        if not all(sets):
+            return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs(), st.data())
+def test_transversal_top_keeps_the_survivors_of_a_set_reference(adj, data):
+    # disjoint independent classes, as a tight node's colour classes are
+    labels = data.draw(st.lists(st.integers(-1, 4), min_size=len(adj), max_size=len(adj)))
+    classes = []
+    for colour in range(5):
+        cls = 0
+        for v, label in enumerate(labels):
+            if label == colour and not adj[v] & cls:
+                cls |= 1 << v
+        if cls:
+            classes.append(cls)
+    if classes:
+        given_classes = list(classes)
+        assert _transversal_top(adj, classes) == _reference_transversal_top(adj, classes)
+        assert classes == given_classes
+
+
+@pytest.mark.parametrize("points", [
+    lambda: _replica("n9_cf2", 2),
+    lambda: random_pointset(random.Random(24), 16),
+], ids=["n9_cf2-m2", "random-16"])
+def test_transversal_top_keeps_the_survivors_at_every_tight_node(monkeypatch, points):
+    adj = build_crossing_graph(points()).adjacency
+    calls = []
+
+    def checked(rows, classes):
+        survivors = _transversal_top(rows, classes)
+        assert survivors == _reference_transversal_top(rows, classes)
+        calls.append(survivors)
+        return survivors
+
+    monkeypatch.setattr(crossing, "_transversal_top", checked)
+    cf = CliqueSearch(adj).run()[0]
+    for target in range(1, cf + 2):
+        CliqueSearch(adj).run(target)
+    assert calls and 0 in calls and any(calls)
+
+
 class EmptyStart(CliqueSearch):
     """The clique search started from an empty incumbent."""
 
@@ -461,10 +531,10 @@ class EmptyStart(CliqueSearch):
 
 def _reference_greedy_clique(adj):
     """Repeatedly take the candidate with the most candidate neighbours,
-    lowest label first among equals, until no candidate is left."""
+    highest position first among equals, until no candidate is left."""
     cand, clique = set(range(len(adj))), []
     while cand:
-        v = min(cand, key=lambda u: (-sum(adj[u] >> w & 1 for w in cand), u))
+        v = min(cand, key=lambda u: (-sum(adj[u] >> w & 1 for w in cand), -u))
         clique.append(v)
         cand = {w for w in cand if adj[v] >> w & 1}
     return clique

@@ -1,14 +1,16 @@
+import importlib.util
 import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfam import geometry
-from crossfam.chirotope import side_masks
+from crossfam.chirotope import pair_masks, side_masks
 from crossfam.crossing import build_crossing_graph, max_crossing_family
 from crossfam.errors import (
     DegenerateEpsilonError,
@@ -329,7 +331,59 @@ def test_trimmed_replica_keeps_its_table(kernel_passes):
     assert kernel_passes.count(tuple(integer_coordinates(S0))) == 1
 
 
+class FullSweepScreen(_SpacingScreen):
+    """The spacing screen with every line through two sources swept over
+    every replica point; keeps (screen's masks, full sweep's masks) of each
+    spacing that reaches those lines."""
+
+    def __init__(self, S, m):
+        super().__init__(S, m)
+        self.masks = []
+
+    def _source_masks(self, coords, ex, ey):
+        full = pair_masks(coords, self._source_pairs)
+        self.masks.append((super()._source_masks(coords, ex, ey), full))
+        return full
+
+
+def _assert_screen_matches_the_full_sweep(S, m, eps):
+    """Same verdict as the full sweep, from the same source-line masks."""
+    reference = FullSweepScreen(S, m)
+    assert _SpacingScreen(S, m).refutes(eps) == reference.refutes(eps)
+    for screened, full in reference.masks:
+        assert screened == full
+
+
+def _extremal_pool(seed):
+    """The inputs of the benchmark's ``extremal`` workload at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [inp for rnd in workloads.extremal_inputs(seed) for inp in rnd]
+
+
 class TestSpacingScreen:
+    def test_source_lines_match_the_full_sweep_on_the_extremal_pool(self):
+        # every spacing the search screens, from its start to the accepted one
+        reached = 0
+        for inp in _extremal_pool(0):
+            S, m = normalize_coordinates(inp.points), inp.m
+            gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
+            gaps += [abs(p.y - q.y) for p, q in combinations(S, 2)]
+            eps, accepted = Fraction(min(gaps)) / (4 * m), choose_epsilon(S, m)
+            while eps >= accepted:
+                _assert_screen_matches_the_full_sweep(S, m, eps)
+                reached += 1
+                eps /= 2
+        assert reached > 180
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_source_lines_match_the_full_sweep(self, seed):
+        S, m, eps, _ = replication_case(seed)
+        _assert_screen_matches_the_full_sweep(S, m, eps)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_refuted_spacing_fails_the_full_pass(self, seed):

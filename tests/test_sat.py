@@ -906,6 +906,46 @@ class TestParseModel:
             return
         assert len(asg) == num_vars + 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(
+        ["v", "c", "s", "0", "1", "-1", "2", "-2", "3", "-3", "4", "-4", "5", "9",
+         "+1", "01", "-0", "-01", "x", "--2", "1_0", "\u0663"]), max_size=8).map(" ".join),
+        max_size=5).map("\n".join), st.integers(-1, 6))
+    def test_literal_table_reads_as_the_checked_path(self, text, num_vars):
+        # with an empty table every token is converted and range-checked
+        def outcome():
+            try:
+                return parse_model(text, num_vars)
+            except ParseError as exc:
+                return str(exc)
+
+        with mock.patch.object(sat, "_literal_table", lambda top: {}):
+            checked = outcome()
+        assert outcome() == checked
+
+    @pytest.mark.parametrize("text, error", [
+        ("v 1 -2 3 4 0", "line 1: literal 4 exceeds 3 variables"),
+        ("v 1 -2\nv -4 3 0", "line 2: literal -4 exceeds 3 variables"),
+        ("v 1 -2 3 +4 0", "line 1: literal 4 exceeds 3 variables"),
+    ])
+    def test_literal_out_of_range(self, text, error):
+        sat._literal_table(50)  # a larger table than the model's is cached
+        with pytest.raises(ParseError) as excinfo:
+            parse_model(text, 3)
+        assert str(excinfo.value) == error
+
+    def test_model_shares_the_table_its_cnf_was_read_with(self):
+        cnf, vm = encode_no_k_family(9, 3)
+        asg = assignment_from_pointset(PointSet.from_coords(NINE_POINT_CF2), vm)
+        model = "v " + " ".join(str(v if asg[v] else -v) for v in range(1, vm.num_vars + 1)) + " 0\n"
+        sink = io.BytesIO()
+        emit_dimacs(cnf, sink, comments=default_dimacs_comments(vm, 3))
+        sat._literal_table.cache_clear()
+        parsed = parse_dimacs(sink.getvalue().decode())
+        assert parse_model(model, parsed.num_vars) == asg
+        info = sat._literal_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
 
 class TestSatisfiabilityWitness:
     def test_smallest_instance_satisfiable(self):
