@@ -3,10 +3,12 @@
 Every orientation and crossing question the solvers, the annealer, the
 replication certificate and the CNF assignment ask is answered from here.
 A point set reaches it only through ``PointSet.side_masks``, which keeps
-its table, and ``PointSet.crossing_rows``, which keeps the crossing rows
-built from that table beside it; the annealer alone keeps lists of its own,
-rewritten as points move, and the replication screen reads a few lines of
-a replica it never builds (``pair_masks``).
+its table, ``PointSet.crossing_rows``, which keeps the crossing rows built
+from that table beside it, and ``PointSet.subset``, which cuts a subset's
+table from its set's with no determinant (``restrict_masks``); the
+annealer alone keeps lists of its own, rewritten as points move, and the
+replication screen reads a few lines of a replica it never builds
+(``pair_masks``).
 For integer coordinates of n points the table is a flat list of n^2
 bitsets over points: entry ``a*n + b`` (a != b) holds the points c with
 orient(a, b, c) > 0, the points left of the directed line a -> b, and the
@@ -32,6 +34,7 @@ where a triple flipped.
 
 from __future__ import annotations
 
+import struct
 from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -78,6 +81,51 @@ def side_masks(coords: list[tuple[int, int]]) -> list[int]:
         for b in range(a + 1, n):
             left[b * n + a] = every ^ left[a * n + b] ^ bit[a] ^ bit[b]
     return left
+
+
+def restrict_masks(left: Sequence[int], n: int, kept: Sequence[int]) -> list[int]:
+    """The side-mask table of the points ``kept``, increasing indices into an n-point table.
+
+    Entry ``a*k + b`` of the k-point result is entry ``kept[a]*n + kept[b]``
+    with the bits of the dropped points removed, so bit c stands for
+    ``kept[c]``: the table :func:`side_masks` gives for the kept points'
+    coordinates, with no determinant. The kept entries are packed into one
+    int, a field of whole 64-bit words each, and each run of consecutive
+    dropped points is cut from every field at once, highest run first, by
+    one shift and two masks repeated across the fields. Fields of one word
+    pack and unpack through ``struct``.
+    """
+    if any(b <= a for a, b in zip(kept, kept[1:])) or kept and not 0 <= kept[0] <= kept[-1] < n:
+        raise ValueError(f"kept indices must increase within range({n})")
+    width = 8 * max(1, (n + 63) // 64)  # bytes per field
+    entries = []
+    for a in kept:
+        row = left[a * n:a * n + n]
+        entries += [row[b] for b in kept]
+    count = len(entries)
+    if width == 8:
+        data = struct.pack(f"<{count}Q", *entries)
+    else:
+        data = b"".join([v.to_bytes(width, "little") for v in entries])
+    packed = int.from_bytes(data, "little")
+    runs = []  # (first, length) of each run of dropped points, highest first
+    last = n
+    for p in reversed(kept):
+        if p + 1 < last:
+            runs.append((p + 1, last - p - 1))
+        last = p
+    if last:
+        runs.append((0, last))
+    ones = int.from_bytes((1).to_bytes(width, "little") * count, "little")  # bit 0 of each
+    size = n  # bits per field still in use
+    for first, length in runs:
+        size -= length
+        packed = (packed & ones * ((1 << first) - 1)
+                  | packed >> length & ones * ((1 << size) - (1 << first)))
+    data = packed.to_bytes(width * count, "little")
+    if width == 8:
+        return list(struct.unpack(f"<{count}Q", data))
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
 def point_masks(coords: list[tuple[int, int]], p: int) -> Optional[list[int]]:

@@ -19,6 +19,15 @@ crossing graph. Cluster isolation is a few mask operations per intra-cluster
 segment and outside point, and copy order one mask test per line through two
 copies.
 
+A trimmed replica is a subset of the full one, so its table is the full
+replica's cut to the kept points (``PointSet.subset``), exact bit work with
+no determinant. The search keeps the full replica it accepted, one at a
+time, and a trimmed replica at that spacing is cut from it: the search's
+own, and that of a later call given the same source, copy count and
+spacing (compared by value), as in ``replicate_certified(S, m,
+choose_epsilon(S, m), total)``. Any other replica takes its own pass. Both
+checks still certify every trimmed replica from its own table.
+
 Most spacings the search tries fail, so it screens each one before building
 its replica. The screen reads only the lines through two copies of one
 source, with ``chirotope.pair_masks``, and the lines through two sources,
@@ -92,13 +101,19 @@ class ReplicationCertificate:
         return self.cluster_isolation_ok and self.copy_order_ok
 
 
-def _check_replication_input(S: PointSet, m: int, epsilon: Optional[Coord]) -> None:
-    """Reject a copy count, a given spacing or a source set unfit for replication."""
+def _check_replication_input(S: PointSet, m: int, epsilon: Optional[Coord],
+                             total: Optional[int]) -> None:
+    """Reject a copy count, a given spacing or total, or a source set unfit for replication."""
+    # a bool would be recorded as True or False, which no parser reads
+    if isinstance(m, bool):
+        raise TypeError("copy count must be an int, got bool")
+    if isinstance(total, bool):
+        raise TypeError("total must be an int, got bool")
     if m < 1:
         raise ValueError("copy count must be at least 1")
     if epsilon is not None:
         # a float would be replicated as its binary expansion but recorded as given
-        if not isinstance(epsilon, _EXACT_TYPES):
+        if not isinstance(epsilon, _EXACT_TYPES) or isinstance(epsilon, bool):
             raise TypeError(f"exact spacing required, got {type(epsilon).__name__}")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
@@ -127,31 +142,36 @@ def _copy_counts(n: int, m: int, total: Optional[int]) -> list[int]:
 
 
 def _replica(
-    S: PointSet, m: int, epsilon: Coord, total: Optional[int]
+    S: PointSet, m: int, epsilon: Coord, total: Optional[int], full: Optional[PointSet] = None
 ) -> tuple[PointSet, CopyMap, ReplicationCertificate]:
-    """Replicate a checked source and certify the replica from one side-mask pass.
+    """Replicate a checked source and certify the replica from its side-mask table.
 
-    A spacing that breaks general position or coordinate distinctness
-    raises :class:`DegenerateEpsilonError`.
+    Given ``full``, the certified full m-copy replica at this spacing, the
+    replica is cut from it with its table (:meth:`PointSet.subset`).
+    Otherwise it is built, and one side-mask pass checks it: a spacing that
+    breaks general position or coordinate distinctness raises
+    :class:`DegenerateEpsilonError`.
     """
     eps = Fraction(epsilon)
     counts = _copy_counts(len(S), m, total)
-    points: list[Point] = []
-    entries: list[tuple[int, int]] = []
-    for src, p in enumerate(S):
-        for i in range(counts[src]):
+    entries = [(src, i) for src in range(len(S)) for i in range(counts[src])]
+    if full is not None:
+        out = full.subset([src * m + i for src, i in entries])
+    else:
+        points = []
+        for src, i in entries:
+            p = S[src]
             step = i * eps
             points.append(Point(p.x + step, p.y + step * step))
-            entries.append((src, i))
-    out = PointSet(tuple(points))
-    if not has_distinct_coordinates(out):
-        raise DegenerateEpsilonError(f"epsilon {eps} collides replica coordinates")
-    try:
-        out.side_masks
-    except NotGeneralPositionError as exc:
-        raise DegenerateEpsilonError(
-            f"epsilon {eps} makes points {exc.triple} collinear"
-        ) from None
+        out = PointSet(tuple(points))
+        if not has_distinct_coordinates(out):
+            raise DegenerateEpsilonError(f"epsilon {eps} collides replica coordinates")
+        try:
+            out.side_masks
+        except NotGeneralPositionError as exc:
+            raise DegenerateEpsilonError(
+                f"epsilon {eps} makes points {exc.triple} collinear"
+            ) from None
     cmap = CopyMap(tuple(entries), len(S))
     cert = ReplicationCertificate(
         epsilon=epsilon,
@@ -391,6 +411,11 @@ class _SpacingScreen:
         return out
 
 
+#: (m, eps, S, replica) of the full replica the spacing search last accepted;
+#: only :func:`replicate_certified` given an explicit spacing reads it.
+_accepted: Optional[tuple[int, Fraction, PointSet, PointSet]] = None
+
+
 def choose_epsilon(S: PointSet, m: int) -> Coord:
     """Smallest-effort certified spacing for replicating ``S`` with ``m`` copies.
 
@@ -403,7 +428,8 @@ def choose_epsilon(S: PointSet, m: int) -> Coord:
     Each spacing is screened first (:class:`_SpacingScreen`): one the screen
     refutes would fail those checks, so it is halved without building its
     replica. A spacing is accepted only when its full replica passes, so
-    the screen changes which replicas are built, never the result.
+    the screen changes which replicas are built, never the result. The
+    search never reads the full replica a previous search kept.
     """
     return replicate_certified(S, m)[2].epsilon
 
@@ -415,13 +441,24 @@ def replicate_certified(
 
     ``epsilon`` defaults to the spacing :func:`choose_epsilon` finds; an
     explicit one, an int or a Fraction, is emitted even when the
-    certification checks fail -- the certificate records the outcomes. ``total`` optionally trims the output
-    to exactly that many points by dropping the highest copy numbers of the
-    last source points.
+    certification checks fail -- the certificate records the outcomes, and
+    the spacing as given. ``total`` optionally trims the output to exactly
+    that many points by dropping the highest copy numbers of the last
+    source points.
+
+    The search keeps the full replica it accepted. A trimmed replica at
+    that spacing, whether the search's own or a later call's with an equal
+    source, copy count and spacing, is cut from it with its side-mask
+    table instead of taking a pass of its own; either way both checks
+    certify the trimmed replica from its table.
     """
-    _check_replication_input(S, m, epsilon)
+    global _accepted
+    _check_replication_input(S, m, epsilon, total)
     if epsilon is not None:
-        return _replica(S, m, epsilon, total)
+        full = None
+        if _accepted is not None and _accepted[:3] == (m, epsilon, S):
+            full = _accepted[3]
+        return _replica(S, m, epsilon, total, full)
     gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
     gaps += [abs(p.y - q.y) for p, q in combinations(S, 2)]
     eps = Fraction(min(gaps)) / (4 * m) if gaps else Fraction(1, 4 * m)
@@ -434,7 +471,8 @@ def replicate_certified(
                 pass
             else:
                 if replica[2].certified:
-                    return replica if total is None else _replica(S, m, eps, total)
+                    _accepted = (m, eps, S, replica[0])
+                    return replica if total is None else _replica(S, m, eps, total, replica[0])
         eps /= 2
     raise EpsilonSearchError(f"no certified spacing found for n={len(S)}, m={m}")
 

@@ -13,7 +13,7 @@ from crossfam import chirotope
 from crossfam.crossing import CliqueSearch, _transversal_top
 from crossfam.errors import DegenerateEpsilonError, EpsilonSearchError
 from crossfam.geometry import PointSet, all_segments, segments_cross
-from crossfam.replication import replicate_certified
+from crossfam.replication import _replica
 from crossfam.search import random_general_position
 
 
@@ -146,7 +146,8 @@ def reference_choose_epsilon(S: PointSet, m: int):
     """The spacing search with no screen: replicate and certify every spacing tried.
 
     Same start and halving as :func:`crossfam.replication.choose_epsilon`,
-    each spacing through the explicit-epsilon path; a test oracle for the
+    each spacing's replica built and checked with its own side-mask pass,
+    never cut from the replica a search kept; a test oracle for the
     searched spacing.
     """
     gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
@@ -154,7 +155,7 @@ def reference_choose_epsilon(S: PointSet, m: int):
     eps = Fraction(min(gaps)) / (4 * m) if gaps else Fraction(1, 4 * m)
     for _ in range(65):
         try:
-            if replicate_certified(S, m, eps)[2].certified:
+            if _replica(S, m, eps, None)[2].certified:
                 return eps
         except DegenerateEpsilonError:
             pass

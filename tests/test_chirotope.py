@@ -11,6 +11,7 @@ from crossfam.chirotope import (
     pair_masks,
     point_masks,
     refresh_point_rows,
+    restrict_masks,
     segment_sides,
     side_masks,
     update_point_masks,
@@ -161,6 +162,34 @@ def test_pair_masks_match_direct_orientation(coords, data):
     if collinear_triple(coords) is None:
         left = side_masks(coords)
         assert masks == [left[a * n + b] for a, b in pairs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 12), (13, 64), (65, 90)]),
+       st.sampled_from(["none", "two", "any"]))
+def test_restricted_table_matches_a_fresh_pass(seed, sizes, dropped):
+    # sets above 64 points take fields of more than one word
+    rng = random.Random(seed)
+    n = rng.randint(*sizes)
+    S = random_pointset(rng, n, 10_000)
+    coords = [(p.x, p.y) for p in S]
+    if dropped == "none":
+        kept = list(range(n))
+    else:
+        k = max(n - 2, 0) if dropped == "two" else rng.randint(0, n)
+        kept = sorted(rng.sample(range(n), k))
+    expected = side_masks([coords[i] for i in kept])
+    assert restrict_masks(side_masks(coords), n, kept) == expected
+    subset = S.subset(kept)
+    assert subset == PointSet(tuple(S[i] for i in kept))
+    assert list(subset.side_masks) == expected
+
+
+@pytest.mark.parametrize("kept", [[1, 0], [2, 2], [0, 5], [-1, 3]])
+def test_restriction_needs_increasing_indices_in_range(kept):
+    left = side_masks([(0, 0), (3, 1), (1, 4), (5, 6), (7, 2)])
+    with pytest.raises(ValueError, match="kept indices must increase"):
+        restrict_masks(left, 5, kept)
 
 
 def test_table_holds_sorted_triple_orientations(rng):

@@ -83,6 +83,21 @@ class TestReplicate:
         with pytest.raises(DegenerateEpsilonError):
             replicate_certified(S, 2, 1)
 
+    @pytest.mark.parametrize("m, eps, total, message", [
+        (True, None, None, "copy count must be an int, got bool"),
+        (2, True, None, "exact spacing required, got bool"),
+        (2, None, True, "total must be an int, got bool"),
+        (2, Fraction(1, 64), True, "total must be an int, got bool"),
+    ])
+    def test_bool_argument_rejected(self, m, eps, total, message):
+        # True == 1 would be replicated, then recorded as True, which no parser reads
+        with pytest.raises(TypeError, match=message):
+            replicate_certified(TRIANGLE, m, eps, total)
+
+    def test_bool_copy_count_rejected_by_the_search(self):
+        with pytest.raises(TypeError, match="copy count must be an int, got bool"):
+            choose_epsilon(TRIANGLE, True)
+
     @pytest.mark.parametrize("eps", [0.1, 0.5, Decimal("0.5")])
     def test_inexact_spacing_rejected(self, eps):
         # Fraction(0.1) is not 1/10, so the replica would not be the one recorded
@@ -321,14 +336,77 @@ def test_screen_leaves_one_replica_pass(kernel_passes, name, m):
 
 
 def test_trimmed_replica_keeps_its_table(kernel_passes):
-    # the replica carries the table its certificate read; the source is checked once
+    # the replica carries the table its certificate read, cut from the full
+    # replica the search accepted; the source is checked once
     S0 = normalize_coordinates(load_bundled("n9_cf2")[0])
     eps = choose_epsilon(S0, 3)
     S2, _, cert = replicate_certified(S0, 3, eps, 25)
     graph = build_crossing_graph(S2)
     assert cert.certified and len(S2) == 25 and graph.edge_count > 0
-    assert kernel_passes.count(tuple(integer_coordinates(S2))) == 1
+    assert kernel_passes.count(tuple(integer_coordinates(S2))) == 0
     assert kernel_passes.count(tuple(integer_coordinates(S0))) == 1
+    assert list(S2.side_masks) == side_masks(integer_coordinates(S2))
+
+
+def test_trimmed_replicas_of_the_extremal_pool_are_cut_from_the_search(kernel_passes):
+    # each job's replica takes no side-mask pass, and carries the kernel's table
+    for inp in _extremal_pool(0):
+        S0 = normalize_coordinates(inp.points)
+        eps = choose_epsilon(S0, inp.m)
+        kernel_passes.clear()
+        S2, cmap, cert = replicate_certified(S0, inp.m, eps, inp.total)
+        assert kernel_passes == []
+        assert cert.certified and len(S2) == inp.total
+        assert list(S2.side_masks) == side_masks(integer_coordinates(S2))
+        assert (S2, cmap) == _replica(S0, inp.m, eps, inp.total)[:2]
+
+
+class TestAcceptedReplica:
+    """The full replica the spacing search keeps serves only its own source,
+    copy count and spacing, and never changes an outcome."""
+
+    S0 = normalize_coordinates(load_bundled("n9_cf2")[0])
+
+    def _misses(self, kernel_passes, S, m, eps, total):
+        kernel_passes.clear()
+        S2 = replicate_certified(S, m, eps, total)[0]
+        assert tuple(integer_coordinates(S2)) in kernel_passes
+        assert S2 == _replica(S, m, eps, total)[0]
+
+    def test_another_source_misses(self, kernel_passes):
+        eps = choose_epsilon(self.S0, 3)
+        relabeled = PointSet(self.S0.points[1:] + self.S0.points[:1])
+        self._misses(kernel_passes, relabeled, 3, eps, 20)
+
+    def test_another_copy_count_misses(self, kernel_passes):
+        eps = choose_epsilon(self.S0, 3)
+        self._misses(kernel_passes, self.S0, 2, eps, 15)
+
+    def test_another_spacing_misses(self, kernel_passes):
+        eps = choose_epsilon(self.S0, 3)
+        self._misses(kernel_passes, self.S0, 3, eps / 2, 20)
+
+    def test_uncertified_spacing_stays_uncertified(self):
+        S = PointSet.from_coords([(0, 0), (10, 10)])
+        assert replicate_certified(S, 2, choose_epsilon(S, 2), 3)[2].certified
+        cert = replicate_certified(S, 2, Fraction(9, 8), 3)[2]
+        assert not cert.copy_order_ok and not cert.certified
+
+    def test_colliding_spacing_still_raises(self):
+        S = PointSet.from_coords([(0, 0), (1, 3)])
+        choose_epsilon(S, 2)
+        with pytest.raises(DegenerateEpsilonError, match="collides"):
+            replicate_certified(S, 2, 1, 3)
+
+    def test_int_spacing_is_recorded_as_given(self, kernel_passes):
+        S = PointSet.from_coords([(0, 0), (64, 256)])
+        assert choose_epsilon(S, 2) == Fraction(2)
+        kernel_passes.clear()
+        S2, _, cert = replicate_certified(S, 2, 2, 3)
+        assert kernel_passes == []  # cut from the accepted replica
+        assert type(cert.epsilon) is int and cert.epsilon == 2 and cert.certified
+        assert format_certificate(cert) == format_certificate(_replica(S, 2, 2, 3)[2])
+        assert parse_certificate(format_certificate(cert)) == cert
 
 
 class FullSweepScreen(_SpacingScreen):
