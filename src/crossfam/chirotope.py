@@ -5,10 +5,10 @@ replication certificate and the CNF assignment ask is answered from here.
 A point set reaches it only through ``PointSet.side_masks``, which keeps
 its table, ``PointSet.crossing_rows``, which keeps the crossing rows built
 from that table beside it, and ``PointSet.subset``, which cuts a subset's
-table from its set's with no determinant (``restrict_masks``); the
-annealer alone keeps lists of its own, rewritten as points move, and the
-replication screen reads a few lines of a replica it never builds
-(``pair_masks``).
+table from its set's with no determinant (``restrict_masks``). The
+annealer reads its full state the same way, and between its full reads
+keeps lists of its own, rewritten as points move; the replication screen
+reads a few lines of a replica it never builds (``pair_masks``).
 For integer coordinates of n points the table is a flat list of n^2
 bitsets over points: entry ``a*n + b`` (a != b) holds the points c with
 orient(a, b, c) > 0, the points left of the directed line a -> b, and the

@@ -161,8 +161,11 @@ def _cmd_search(args):
     def report(iteration: int, best: int) -> None:
         print(f"iteration {iteration}: best objective {best}", file=sys.stderr)
 
-    state = anneal(cfg, initial, on_improve=report)
     prefix = Path(args.output) if args.output else Path(args.config).with_suffix("")
+    if not prefix.parent.is_dir():
+        # checked first: the files are written only after the whole search
+        raise FileNotFoundError(f"output directory {str(prefix.parent)!r} does not exist")
+    state = anneal(cfg, initial, on_improve=report)
     best_path = prefix.with_name(prefix.name + ".best.txt")
     trace_path = prefix.with_name(prefix.name + ".trace.csv")
     formats.save_pointset(

@@ -12,13 +12,15 @@ gained or lost are counted.
 
 The state is the side-mask table of :mod:`crossfam.chirotope`, the
 segment sides read from it (per point, the segments whose line it is left
-of) and the crossing rows. A move computes the n-1 masks through the
-moved point, which are also its general-position test; when they equal the
-old ones the table, the crossing graph and the objective are unchanged and
-the move costs no count at all. Otherwise the table and the segment sides
-are rewritten where a triple through the point flipped, and only the n-1
-crossing rows through it are rebuilt. A rejected move restores all three,
-and every 4096 iterations a drift guard compares each with a full rebuild.
+of) and the crossing rows; it is read in full from a ``PointSet`` at the
+start and by a drift guard every 4096 iterations. A move computes the n-1
+masks through the moved point, which are also its general-position test;
+when they equal the old ones the table, the crossing graph and the
+objective are unchanged and the move costs no count at all. Otherwise the
+table and the segment sides are rewritten where a triple through the
+point flipped, and only the n-1 crossing rows through it are rebuilt. A
+rejected move restores the tables and the coordinates copied before it;
+a Ctrl-C before the verdict restores the coordinates.
 States live on an integer grid so every predicate stays exact and
 checkpoints serialize losslessly.
 
@@ -33,18 +35,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from .chirotope import (
-    crossing_rows,
-    point_masks,
-    refresh_point_rows,
-    segment_sides,
-    side_masks,
-    update_point_masks,
-)
-from .crossing import _count_cliques, _count_cliques_meeting, count_k_families
+from .chirotope import point_masks, refresh_point_rows, segment_sides, update_point_masks
+from .crossing import _count_cliques_meeting, count_k_families
 from .errors import NotGeneralPositionError, RetryExhaustedError
 from .geometry import PointSet, normalize_coordinates
 from .replication import replicate_certified
@@ -72,6 +67,16 @@ class SearchConfig:
     grid_bound: int = 0  # 0 = default n*n
 
     def __post_init__(self):
+        for f in fields(self):
+            # format_search_config writes str(value), and the parser reads back
+            # an int, or in a float field a decimal, but not a bool's True
+            value = getattr(self, f.name)
+            kinds = int if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+            if f.type == "float" and isinstance(value, int) and abs(value) > 2 ** 53:
+                # above 2**53 the float its digits are read back as may differ from it
+                raise ValueError(f"{f.name} given as an int must be at most 2**53")
         if self.grid_bound == 0:
             object.__setattr__(self, "grid_bound", self.n * self.n)
         if self.k < 1 or self.n < 2 * self.k:
@@ -136,14 +141,14 @@ def _move(
     sigma: float,
     grid_bound: Optional[int],
     max_retries: int,
-) -> tuple[int, tuple[int, int], list[int]]:
+) -> tuple[int, list[int]]:
     """Move one uniformly chosen point in place by a discretized Gaussian offset.
 
     Draws the index, then the x and y offsets, clamps to the grid when
     ``grid_bound`` is given and redraws a move that changes nothing. A move
     that breaks general position is undone in ``coords`` and redrawn, up to
-    ``max_retries`` tries. Returns the moved index, its old position and
-    its :func:`~crossfam.chirotope.point_masks` at the new one.
+    ``max_retries`` tries. Returns the moved index and its
+    :func:`~crossfam.chirotope.point_masks` at the new position.
     """
     for _ in range(max_retries):
         idx = rng.randrange(len(coords))
@@ -158,7 +163,7 @@ def _move(
         coords[idx] = (x, y)
         masks = point_masks(coords, idx)
         if masks is not None:
-            return idx, old, masks
+            return idx, masks
         coords[idx] = old
     raise RetryExhaustedError(f"no general-position move found in {max_retries} tries")
 
@@ -207,6 +212,12 @@ def _objective_delta(adj: list[int], changed: list[tuple[int, int]], k: int) -> 
     return delta
 
 
+def _state(S: PointSet, k: int) -> tuple[list[int], list[int], list[int], int]:
+    """Side masks, segment sides, crossing rows and k-family count of ``S``, from its tables."""
+    left = list(S.side_masks)
+    return left, segment_sides(left, len(S)), list(S.crossing_rows), count_k_families(S, k)
+
+
 def anneal(
     cfg: SearchConfig,
     initial: PointSet,
@@ -228,16 +239,12 @@ def anneal(
     if PointSet.from_coords(coords) != initial:
         raise ValueError("initial set must have integer coordinates")
     try:
-        left = side_masks(coords)
+        left, sides, adj, current_obj = _state(initial, cfg.k)
     except NotGeneralPositionError:
         raise ValueError("initial set must be in general position") from None
 
     rng = random.Random(cfg.seed)
     n = cfg.n
-    sides = segment_sides(left, n)
-    adj = crossing_rows(left, n)
-
-    current_obj = _count_cliques(adj, cfg.k)
     best = list(coords)
     best_obj = current_obj
     temperature = cfg.initial_temperature
@@ -249,22 +256,18 @@ def anneal(
             if max(abs(x), abs(y)) > cfg.grid_bound:
                 raise ValueError(f"initial point ({x}, {y}) lies outside the grid "
                                  f"[-{cfg.grid_bound}, {cfg.grid_bound}]^2")
-        pending: Optional[list[tuple[int, int]]] = None  # coords before an undecided move
+        snapshot = coords  # the coordinates of the last trace row
         try:
             for iteration in range(1, cfg.iterations + 1):
                 temperature *= cfg.cooling_rate
-                pending = coords.copy()
-                moved, old_point, masks = _move(
-                    coords, rng, cfg.step_sigma, cfg.grid_bound, _MAX_RETRIES
-                )
+                snapshot = coords.copy()
+                moved, masks = _move(coords, rng, cfg.step_sigma, cfg.grid_bound, _MAX_RETRIES)
                 if masks == left[moved * n:moved * n + n]:
                     # same side masks: same crossing graph, same objective
                     delta = 0
                 else:
-                    saved_left = left.copy()
-                    saved_sides = sides.copy()
+                    saved = left.copy(), sides.copy(), adj.copy()
                     update_point_masks(left, sides, moved, masks)
-                    saved_rows = adj.copy()
                     changed = refresh_point_rows(adj, left, sides, n, moved)
                     delta = _objective_delta(adj, changed, cfg.k)
                 improved = False
@@ -278,28 +281,22 @@ def anneal(
                         best = list(coords)
                         improved = True
                 else:
-                    coords[moved] = old_point
-                    left = saved_left
-                    sides = saved_sides
-                    adj = saved_rows
+                    coords = snapshot
+                    left, sides, adj = saved
 
                 trace.append((iteration, temperature, current_obj, best_obj))
-                pending = None
+                snapshot = coords
                 if improved and on_improve is not None:
                     on_improve(iteration, best_obj)
 
                 if iteration % _CHECK_INTERVAL == 0 and (
-                    left != side_masks(coords)
-                    or sides != segment_sides(left, n)
-                    or adj != crossing_rows(left, n)
-                    or current_obj != _count_cliques(adj, cfg.k)
+                    (left, sides, adj, current_obj) != _state(PointSet.from_coords(coords), cfg.k)
                 ):
                     raise AssertionError("incremental crossing-graph or objective update drifted")
                 if best_obj == 0:
                     break
         except KeyboardInterrupt:
-            if pending is not None:
-                coords = pending
+            coords = snapshot
 
     best_set = PointSet.from_coords(best)
     recount = count_k_families(best_set, cfg.k)

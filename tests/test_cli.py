@@ -372,6 +372,19 @@ class TestSearchCommand:
         code, out, _ = run(capsys, "search", str(cfg_path))
         assert code == 0 and "best objective 0" in out
 
+    def test_missing_output_directory_ends_before_the_search(self, capsys, monkeypatch,
+                                                             tmp_path):
+        def no_search(*args, **kwargs):
+            pytest.fail("the search ran although its files could not be written")
+
+        monkeypatch.setattr("crossfam.search.anneal", no_search)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(format_search_config(SearchConfig(n=8, k=3, seed=0, iterations=3000)))
+        missing = tmp_path / "missing" / "dir"
+        assert run(capsys, "search", str(cfg_path), "-o", str(missing / "run")) == (
+            1, "", f"error: output directory {str(missing)!r} does not exist\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_step_sigma_wider_than_the_grid_is_one_line_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("n = 10\nk = 2\nseed = 0\niterations = 10\nstep_sigma = 1e200\n")
@@ -535,7 +548,7 @@ class TestInterruptedCommands:
 
     @pytest.mark.parametrize("target,argv", [
         # the initial count of a large search, e.g. n = 40 and k = 6
-        ("crossfam.search._count_cliques", ["search", "{config}"]),
+        ("crossfam.search.count_k_families", ["search", "{config}"]),
         ("crossfam.crossing.count_k_families", ["count", "{pentagon}", "--k", "2"]),
         ("crossfam.crossing.has_k_family", ["decide", "{pentagon}", "--k", "2"]),
         ("crossfam.sat.encode_no_k_family", ["encode", "--n", "6", "--k", "3", "-o", "{cnf}"]),

@@ -217,6 +217,28 @@ class TestSearchConfigFormat:
         parsed, initial = parse_search_config(format_search_config(cfg))
         assert parsed == cfg and initial is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_accepted_config_round_trips(self, data):
+        # every field over its valid range; an int is drawn for each float field too
+        n = data.draw(st.integers(2, 60))
+        grid_bound = data.draw(st.one_of(st.just(0), st.integers(n * n, 10 ** 12)))
+        sigma_cap = min(grid_bound or n * n, 10_000)
+        cfg = SearchConfig(
+            n=n,
+            k=data.draw(st.integers(1, n // 2)),
+            seed=data.draw(st.integers()),
+            iterations=data.draw(st.integers(1, 10 ** 30)),
+            initial_temperature=data.draw(st.one_of(
+                st.floats(0, exclude_min=True, allow_infinity=False), st.integers(1, 2 ** 53))),
+            cooling_rate=data.draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+            step_sigma=data.draw(st.one_of(st.floats(0, sigma_cap, exclude_min=True),
+                                           st.integers(1, sigma_cap))),
+            grid_bound=grid_bound,
+        )
+        parsed, initial = parse_search_config(format_search_config(cfg))
+        assert parsed == cfg and initial is None
+
     def test_initial_key(self):
         text = "n = 7\nk = 3\nseed = 1\niterations = 10\ninitial = start.txt\n"
         cfg, initial = parse_search_config(text)

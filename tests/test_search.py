@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -52,6 +53,20 @@ class TestSearchConfig:
             SearchConfig(n=8, k=3, seed=1, iterations=10, cooling_rate=1.0)
         with pytest.raises(ValueError):
             SearchConfig(n=8, k=3, seed=1, iterations=10, grid_bound=10)
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", True), ("seed", True), ("iterations", True), ("n", 8.0), ("seed", 1.5),
+        ("step_sigma", True), ("grid_bound", 100.0), ("initial_temperature", Fraction(1, 2)),
+    ])
+    def test_value_the_config_format_cannot_read_back_rejected(self, field, value):
+        # format_search_config would write True or 8.0, which parse_search_config rejects
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            SearchConfig(**{"n": 8, "k": 3, "seed": 0, "iterations": 10, field: value})
+
+    def test_int_in_a_float_field_must_be_exact_as_a_float(self):
+        assert SearchConfig(n=8, k=3, seed=0, iterations=10, initial_temperature=2 ** 53)
+        with pytest.raises(ValueError, match="initial_temperature"):
+            SearchConfig(n=8, k=3, seed=0, iterations=10, initial_temperature=2 ** 53 + 1)
 
     @pytest.mark.parametrize("field", ["initial_temperature", "step_sigma"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -251,50 +266,49 @@ class TestAnneal:
         wide = SearchConfig(n=9, k=2, seed=0, iterations=10, grid_bound=77_000)
         assert len(anneal(wide, scaled).trace) == 11
 
+    @pytest.mark.parametrize("target, before", [
+        ("refresh_point_rows", True),
+        ("point_masks", True),  # the moved point is written, its masks not yet read
+        ("point_masks", False),  # inside _move, the masks read but not yet returned
+        ("_objective_delta", True),
+    ])
     @pytest.mark.parametrize("calls", [1, 2, 3, 5, 8, 13, 21])
-    def test_interrupt_undoes_the_pending_move(self, monkeypatch, calls):
+    def test_interrupt_undoes_the_pending_move(self, monkeypatch, calls, target, before):
         cfg = SearchConfig(n=12, k=3, seed=4, iterations=300)
         initial = random_general_position(12, random.Random(4), cfg.grid_bound)
         uninterrupted = anneal(cfg, initial)
+        real = getattr(search, target)
         seen = 0
 
-        def interrupted_refresh(*args):
+        def interrupted(*args):
             nonlocal seen
             seen += 1
-            if seen == calls:
-                raise KeyboardInterrupt
-            return refresh_point_rows(*args)
+            if seen != calls:
+                return real(*args)
+            if not before:
+                real(*args)
+            raise KeyboardInterrupt
 
-        monkeypatch.setattr(search, "refresh_point_rows", interrupted_refresh)
+        monkeypatch.setattr(search, target, interrupted)
         state = anneal(cfg, initial)
         assert seen == calls
         assert state.trace == uninterrupted.trace[:len(state.trace)]
         assert count_k_families(state.current, cfg.k) == state.trace[-1][2]
         assert count_k_families(state.best, cfg.k) == state.best_objective
 
-    def test_drift_guard_on_every_iteration(self, monkeypatch):
+    def test_drift_guard_on_every_iteration(self, monkeypatch, kernel_passes, row_builds):
         cfg = SearchConfig(n=12, k=3, seed=4, iterations=300)
         initial = random_general_position(12, random.Random(4), cfg.grid_bound)
         unguarded = anneal(cfg, initial)
-        rebuilds = 0
-
-        def counted_side_masks(coords):
-            nonlocal rebuilds
-            rebuilds += 1
-            return side_masks(coords)
-
-        def counted_segment_sides(left, n):
-            nonlocal side_rebuilds
-            side_rebuilds += 1
-            return segment_sides(left, n)
-
-        side_rebuilds = 0
+        kernel_passes.clear()
+        row_builds.clear()
         monkeypatch.setattr(search, "_CHECK_INTERVAL", 1)
-        monkeypatch.setattr(search, "side_masks", counted_side_masks)
-        monkeypatch.setattr(search, "segment_sides", counted_segment_sides)
-        assert anneal(cfg, initial) == unguarded
-        assert rebuilds == len(unguarded.trace)  # once at the start, then every iteration
-        assert side_rebuilds == len(unguarded.trace)
+        # a fresh set, whose tables are not yet kept
+        assert anneal(cfg, PointSet(initial.points)) == unguarded
+        # one full state at the start, one per iteration, then the final recount
+        assert len(unguarded.trace) == 301
+        assert len(kernel_passes) == 302
+        assert row_builds == [12] * 302
 
     def test_drift_guard_checks_the_kept_sides(self, monkeypatch):
         # Bits of sides[p] on segments through p are never read by a row, so
@@ -348,7 +362,7 @@ def test_objective_delta_matches_full_recount(coords, k, seed):
     sides = segment_sides(left, n)
     old_rows = crossing_rows(left, n)
     new_rows = old_rows.copy()
-    moved, _, masks = _move(coords, random.Random(seed), 8.0, 30, 100)
+    moved, masks = _move(coords, random.Random(seed), 8.0, 30, 100)
     update_point_masks(left, sides, moved, masks)
     assert left == side_masks(coords)
     assert sides == segment_sides(left, n)
