@@ -53,6 +53,7 @@ def side_masks(coords: list[tuple[int, int]]) -> list[int]:
     n = len(coords)
     left = [0] * (n * n)
     bit = [1 << i for i in range(n)]
+    every = (1 << n) - 1
     for a in range(n - 1):
         ax, ay = coords[a]
         rel = [(x - ax, y - ay) for x, y in coords]
@@ -76,10 +77,7 @@ def side_masks(coords: list[tuple[int, int]]) -> list[int]:
                         f"points {(a, b, c)} are collinear", (a, b, c)
                     )
             left[an + b] = row
-    every = (1 << n) - 1
-    for a in range(n - 1):
-        for b in range(a + 1, n):
-            left[b * n + a] = every ^ left[a * n + b] ^ bit[a] ^ bit[b]
+            left[bn + a] = every ^ row ^ abit ^ bbit
     return left
 
 

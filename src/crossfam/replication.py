@@ -31,11 +31,11 @@ checks still certify every trimmed replica from its own table.
 Most spacings the search tries fail, so it screens each one before building
 its replica. The screen reads only the lines through two copies of one
 source, with ``chirotope.pair_masks``, and the lines through two sources,
-sweeping only the clusters near each, on integer coordinates it builds from
-the source and eps. It refutes a spacing that collides coordinates or puts a
-third point on one of those lines, breaks copy order, or lets a segment
-between two sources cross a segment between two copies of a third. A
-refuted spacing is halved at once. Only the full pass accepts a spacing, so
+each at the copies of the clusters near it, on integer coordinates it builds
+from the source and eps. It refutes a spacing that collides coordinates or
+puts a third point on one of those lines, breaks copy order, or lets a
+segment between two sources cross a segment between two copies of a third.
+A refuted spacing is halved at once. Only the full pass accepts a spacing, so
 the search returns the spacing, replica and certificate it would return
 without the screen. An explicit epsilon is never screened.
 """
@@ -294,9 +294,9 @@ class _SpacingScreen:
       sources a, b splits the copies of s, and the line through a copy q
       left of it and a copy r right of it separates a from b.
 
-    The lines through two sources are read cluster by cluster
-    (:meth:`_source_masks`): a cluster whose source lies far from the line
-    lies wholly on its side, so only the clusters near the line are swept.
+    A line through two sources is read only at the copies of the sources
+    near it: a cluster whose source lies far from the line lies wholly on
+    its side, so it holds no point of the line and is not split.
     """
 
     def __init__(self, S: PointSet, m: int):
@@ -310,26 +310,34 @@ class _SpacingScreen:
         self._lines = _copy_order_lines(S, cmap, [i for _, i in cmap.entries])
         self._line_pairs = [(v, u) for v, u, _, _ in self._lines]
         self._line_index = {(u, v): i for i, (v, u) in enumerate(self._line_pairs)}
-        self._source_pairs = list(combinations(range(len(S)), 2))
         # Per line through two sources a, b: |u_x| and |u_y| in source units,
-        # the copies of the sources left of it (the source's side mask, one
-        # copy of it per copy number), the |det| of each source against it
-        # and that of the nearest third source.
-        n = self._n
-        copies = sum(1 << (i * n) for i in range(m))
-        self._clusters = [copies << s for s in range(n)]
+        # the |det| of each source against it and that of the nearest third
+        # source.
         points = list(zip(self._x, self._y))
         self._source_lines = []
-        for a, b in self._source_pairs:
+        for a, b in combinations(range(len(S)), 2):
             ux, uy = self._x[b] - self._x[a], self._y[b] - self._y[a]
             k = ux * self._y[a] - uy * self._x[a]
             dist = [abs(ux * y - uy * x - k) for x, y in points]
-            nearest = sorted(dist)[2] if n > 2 else 0
-            self._source_lines.append(
-                (a, b, abs(ux), abs(uy), S.side_masks[a * n + b] * copies, dist, nearest))
+            nearest = sorted(dist)[2] if len(S) > 2 else 0
+            self._source_lines.append((a, b, abs(ux), abs(uy), dist, nearest))
 
     def refutes(self, eps: Fraction) -> bool:
-        """True when the full replica at spacing ``eps`` cannot be certified."""
+        """True when the full replica at spacing ``eps`` cannot be certified.
+
+        Source s lies at (X*dx, Y*dy) in the screen's coordinates, with
+        (X, Y) its integer source coordinates and dx, dy the denominators of
+        the scaled spacings, and copy i of s is moved from it by
+        (i*e_x, i*i*e_y), e_x and e_y their numerators. Against a line of
+        direction (u_x, u_y), a copy's determinant differs from its
+        source's by at most reach = (m-1)^2*|u_x|*e_y + (m-1)*|u_y|*e_x. A
+        source farther than reach from the line through a and b (its |det|
+        from the set-up, times dx*dy) has all its copies strictly on one
+        side of it, so only the clusters of the sources within reach are
+        swept: mostly the nearest third source is beyond reach, and only the
+        clusters of a and b, which the segment ab cannot split, are swept
+        for points on the line.
+        """
         n, m = self._n, self._m
         ex = eps * self._lx
         ey = eps * eps * self._ly
@@ -341,51 +349,11 @@ class _SpacingScreen:
         lines = pair_masks(coords, self._line_pairs)
         if lines is None or not _copy_order_holds(self._lines, lines):
             return True
-        sources = self._source_masks(coords, ex, ey)
-        if sources is None:
-            return True
-        layer = (1 << n) - 1  # one copy of every source
-        for (a, b), mask in zip(self._source_pairs, sources):
-            split = 0  # sources with copies on both sides of a -> b
-            for shift in range(n, n * m, n):
-                split |= (mask >> shift ^ mask) & layer
-            split &= ~(1 << a | 1 << b)
-            while split:
-                low = split & -split
-                split ^= low
-                s = low.bit_length() - 1
-                copies = range(s, n * m, n)
-                for q, r in combinations(copies, 2):
-                    if (mask >> q ^ mask >> r) & 1:
-                        line = lines[self._line_index[q, r]]
-                        if (line >> a ^ line >> b) & 1:
-                            return True
-        return False
-
-    def _source_masks(self, coords: list[tuple[int, int]],
-                      ex: Fraction, ey: Fraction) -> Optional[list[int]]:
-        """``pair_masks(coords, self._source_pairs)``, sweeping only the clusters near each line.
-
-        ``coords`` are the screen's at the scaled spacings ``ex`` and ``ey``:
-        source s at (X*dx, Y*dy), with (X, Y) its integer source coordinates
-        and dx, dy the spacings' denominators, and copy i of s moved from it
-        by (i*e_x, i*i*e_y), e_x and e_y their numerators. Against a line of
-        direction (u_x, u_y), a copy's determinant differs from its source's
-        by at most reach = (m-1)^2*|u_x|*e_y + (m-1)*|u_y|*e_x. A source
-        farther than reach from the line has all its copies strictly on its
-        side, as the source's side mask says, and none on the line; only
-        the clusters of the sources within reach are swept. The source
-        determinants are dx*dy times those of (X, Y), computed once per
-        line; mostly the nearest third source is beyond reach, and only the
-        clusters of a and b are swept.
-        """
-        n, m, clusters = self._n, self._m, self._clusters
         dx, dy = ex.denominator, ey.denominator
         scale = dx * dy
         reach_x = (m - 1) ** 2 * dx * ey.numerator
         reach_y = (m - 1) * dy * ex.numerator
-        out = []
-        for a, b, ux0, uy0, mask, dist, nearest in self._source_lines:
+        for a, b, ux0, uy0, dist, nearest in self._source_lines:
             ax, ay = coords[a]
             ux = coords[b][0] - ax
             uy = coords[b][1] - ay
@@ -397,18 +365,22 @@ class _SpacingScreen:
                 near = [s for s, d in enumerate(dist) if d * scale <= reach]
             on_line = 0
             for s in near:
-                mask &= ~clusters[s]
+                left = []  # per copy of s, whether it lies left of a -> b
                 for q in range(s, n * m, n):
                     x, y = coords[q]
                     det = ux * y - uy * x
-                    if det > k:
-                        mask |= 1 << q
-                    elif det == k:
-                        on_line += 1
+                    left.append(det > k)
+                    on_line += det == k
+                if s == a or s == b:
+                    continue  # isolation lets ab cross segments at copies of a or b
+                for i, j in combinations(range(m), 2):
+                    if left[i] != left[j]:
+                        line = lines[self._line_index[s + i * n, s + j * n]]
+                        if (line >> a ^ line >> b) & 1:
+                            return True
             if on_line > 2:  # a and b themselves are on the line
-                return None
-            out.append(mask)
-        return out
+                return True
+        return False
 
 
 #: (m, eps, S, replica) of the full replica the spacing search last accepted;

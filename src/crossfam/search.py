@@ -79,6 +79,12 @@ class SearchConfig:
                 raise ValueError(f"{f.name} given as an int must be at most 2**53")
         if self.grid_bound == 0:
             object.__setattr__(self, "grid_bound", self.n * self.n)
+        for f in fields(self):
+            if f.type == "int":
+                try:  # str meets the digit limit the parser's int meets
+                    str(getattr(self, f.name))
+                except ValueError:
+                    raise ValueError(f"{f.name} has too many digits to write") from None
         if self.k < 1 or self.n < 2 * self.k:
             raise ValueError(f"need n >= 2k, got n={self.n}, k={self.k}")
         if self.iterations < 1:

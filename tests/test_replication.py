@@ -32,6 +32,7 @@ from crossfam.geometry import (
 from crossfam.known import DEFAULT_EXTREMAL_LIBRARY, best_known_upper_bound, bound_details
 from crossfam.replication import (
     CopyMap,
+    _copy_order_holds,
     _replica,
     _SpacingScreen,
     choose_epsilon,
@@ -410,26 +411,45 @@ class TestAcceptedReplica:
 
 
 class FullSweepScreen(_SpacingScreen):
-    """The spacing screen with every line through two sources swept over
-    every replica point; keeps (screen's masks, full sweep's masks) of each
-    spacing that reaches those lines."""
+    """The spacing screen with every line through two sources read over every
+    replica point by ``pair_masks``; the clusters a line splits are found
+    from its mask, by comparing each copy layer with the first."""
 
-    def __init__(self, S, m):
-        super().__init__(S, m)
-        self.masks = []
-
-    def _source_masks(self, coords, ex, ey):
-        full = pair_masks(coords, self._source_pairs)
-        self.masks.append((super()._source_masks(coords, ex, ey), full))
-        return full
+    def refutes(self, eps):
+        n, m = self._n, self._m
+        ex, ey = eps * self._lx, eps * eps * self._ly
+        xs = [x * ex.denominator + i * ex.numerator for i in range(m) for x in self._x]
+        ys = [y * ey.denominator + i * i * ey.numerator for i in range(m) for y in self._y]
+        if len(set(xs)) < len(xs) or len(set(ys)) < len(ys):
+            return True
+        coords = list(zip(xs, ys))
+        lines = pair_masks(coords, self._line_pairs)
+        if lines is None or not _copy_order_holds(self._lines, lines):
+            return True
+        source_pairs = list(combinations(range(n), 2))
+        sources = pair_masks(coords, source_pairs)
+        if sources is None:
+            return True
+        layer = (1 << n) - 1  # one copy of every source
+        for (a, b), mask in zip(source_pairs, sources):
+            split = 0  # sources with copies on both sides of a -> b
+            for shift in range(n, n * m, n):
+                split |= (mask >> shift ^ mask) & layer
+            split &= ~(1 << a | 1 << b)
+            for s in range(n):
+                if not split >> s & 1:
+                    continue
+                for q, r in combinations(range(s, n * m, n), 2):
+                    if (mask >> q ^ mask >> r) & 1:
+                        line = lines[self._line_index[q, r]]
+                        if (line >> a ^ line >> b) & 1:
+                            return True
+        return False
 
 
 def _assert_screen_matches_the_full_sweep(S, m, eps):
-    """Same verdict as the full sweep, from the same source-line masks."""
-    reference = FullSweepScreen(S, m)
-    assert _SpacingScreen(S, m).refutes(eps) == reference.refutes(eps)
-    for screened, full in reference.masks:
-        assert screened == full
+    """Same verdict as the screen that reads its source lines over every point."""
+    assert _SpacingScreen(S, m).refutes(eps) == FullSweepScreen(S, m).refutes(eps)
 
 
 def _extremal_pool(seed):
@@ -461,6 +481,16 @@ class TestSpacingScreen:
     def test_source_lines_match_the_full_sweep(self, seed):
         S, m, eps, _ = replication_case(seed)
         _assert_screen_matches_the_full_sweep(S, m, eps)
+
+    def test_third_point_on_a_source_line_is_refuted(self):
+        # no cluster is split: only the count of the points on the line
+        # through sources 0 and 1 refutes this spacing
+        S = PointSet.from_coords([(-4, 2), (1, 0), (5, -3)])
+        assert _SpacingScreen(S, 2).refutes(Fraction(1))
+        assert FullSweepScreen(S, 2).refutes(Fraction(1))
+        with pytest.raises(DegenerateEpsilonError,
+                           match=r"epsilon 1 makes points \(0, 2, 5\) collinear"):
+            _replica(S, 2, Fraction(1), None)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -63,6 +63,15 @@ class TestSearchConfig:
         with pytest.raises(TypeError, match=f"^{field} must be"):
             SearchConfig(**{"n": 8, "k": 3, "seed": 0, "iterations": 10, field: value})
 
+    @pytest.mark.parametrize("field, values", [
+        ("seed", {"seed": 10 ** 5000}),
+        ("iterations", {"iterations": 10 ** 4400}),
+        ("grid_bound", {"n": 10 ** 2200}),  # the default grid bound n*n has 4,401 digits
+    ])
+    def test_int_the_config_format_cannot_write_rejected(self, field, values):
+        with pytest.raises(ValueError, match=f"^{field} has too many digits"):
+            SearchConfig(**{"n": 8, "k": 3, "seed": 0, "iterations": 10, **values})
+
     def test_int_in_a_float_field_must_be_exact_as_a_float(self):
         assert SearchConfig(n=8, k=3, seed=0, iterations=10, initial_temperature=2 ** 53)
         with pytest.raises(ValueError, match="initial_temperature"):
