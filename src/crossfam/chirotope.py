@@ -3,8 +3,9 @@
 Every orientation and crossing question the solvers, the annealer, the
 replication certificate and the CNF assignment ask is answered from here.
 A point set reaches it only through ``PointSet.side_masks``, which keeps
-its table, ``PointSet.crossing_rows``, which keeps the crossing rows built
-from that table beside it, and ``PointSet.subset``, which cuts a subset's
+its table, ``PointSet.segment_sides`` and ``PointSet.crossing_rows``,
+which keep the segment sides and the crossing rows built from that table
+beside it, and ``PointSet.subset``, which cuts a subset's
 table from its set's with no determinant (``restrict_masks``). The
 annealer reads its full state the same way, and between its full reads
 keeps lists of its own, rewritten as points move; the replication screen
@@ -297,9 +298,15 @@ def _rows(left: Sequence[int], n: int, sides: Sequence[int],
     return rows
 
 
-def crossing_rows(left: Sequence[int], n: int) -> list[int]:
-    """Adjacency bitsets of the crossing graph over all C(n, 2) segments."""
-    return _rows(left, n, segment_sides(left, n), combinations(range(n), 2))
+def crossing_rows(left: Sequence[int], n: int,
+                  sides: Optional[Sequence[int]] = None) -> list[int]:
+    """Adjacency bitsets of the crossing graph over all C(n, 2) segments.
+
+    ``sides`` is ``segment_sides(left, n)``, computed here when not given.
+    """
+    if sides is None:
+        sides = segment_sides(left, n)
+    return _rows(left, n, sides, combinations(range(n), 2))
 
 
 def refresh_point_rows(adj: list[int], left: Sequence[int], sides: Sequence[int],

@@ -357,11 +357,13 @@ def _count_cliques(adj: Sequence[int], k: int, cand: Optional[int] = None) -> in
     """Number of k-cliques inside the vertex mask ``cand`` (default: every vertex).
 
     Each clique is counted once, at its highest vertex b: the (k-1)-cliques
-    among the neighbours of b below it. Vertices are taken from the top of
-    ``cand`` with ``bit_length``, and b is cleared with the entry of a table
-    of single bits, which allocates nothing; ``cand & -cand`` (the lowest
-    bit) would build a negative int and take the slower two's-complement
-    path of ``&``, and ``1 << b`` builds a new int on every step.
+    among the neighbours of b below it, down to the last three vertices,
+    whose triangle is counted at its middle vertex from the smaller side
+    (see :func:`_count_below`). Vertices are taken from the top of ``cand``
+    with ``bit_length``, and each is cleared with the entry of a table of
+    single bits, which allocates nothing; ``cand & -cand`` (the lowest bit)
+    would build a negative int and take the slower two's-complement path of
+    ``&``, and ``1 << b`` builds a new int on every step.
     """
     if cand is None:
         cand = (1 << len(adj)) - 1
@@ -373,7 +375,17 @@ def _count_cliques(adj: Sequence[int], k: int, cand: Optional[int] = None) -> in
 
 
 def _count_below(adj: Sequence[int], bits: tuple[int, ...], cand: int, k: int) -> int:
-    """Number of k-cliques inside ``cand``, k >= 2, each at its highest vertex."""
+    """Number of k-cliques inside ``cand``, k >= 2.
+
+    Each clique is counted at its highest vertex b, as a (k-1)-clique among
+    the neighbours of b below it, down to its last three vertices, whose
+    triangle x > c > d is counted at its middle vertex c: x is a neighbour
+    of c above it, d one below, and x-d an edge, so walking either side of
+    c and counting each walked vertex's neighbours on the other side finds
+    the triangle at c and at no other vertex. The walk takes the smaller
+    side, about 0.44 of the edges on random crossing graphs, where a walk
+    below each top vertex takes every edge.
+    """
     total = 0
     if k == 2:
         while cand:
@@ -382,16 +394,19 @@ def _count_below(adj: Sequence[int], bits: tuple[int, ...], cand: int, k: int) -
             total += (adj[b] & cand).bit_count()
         return total
     if k == 3:
-        # the last two levels inline: each edge (b, c) below the top vertex
-        # b closes a triangle with every common neighbour below c
-        while cand:
-            b = cand.bit_length() - 1
-            cand ^= bits[b]
-            nxt = adj[b] & cand
-            while nxt:
-                c = nxt.bit_length() - 1
-                nxt ^= bits[c]
-                total += (adj[c] & nxt).bit_count()
+        below = cand  # once c is cleared, the candidates below c
+        while below:
+            c = below.bit_length() - 1
+            below ^= bits[c]
+            row = adj[c] & cand
+            low = row & below
+            high = row ^ low
+            if low.bit_count() > high.bit_count():
+                low, high = high, low
+            while low:
+                d = low.bit_length() - 1
+                low ^= bits[d]
+                total += (adj[d] & high).bit_count()
         return total
     while cand:
         if cand.bit_count() < k:

@@ -9,8 +9,9 @@ rules out approximate arithmetic.
 ``PointSet.side_masks`` is the one way a point set reaches the kernel of
 :mod:`crossfam.chirotope`; it is kept with the set, so every question asked
 of one set shares one pass over its triples. Beside it the set keeps its
-crossing rows, ``PointSet.crossing_rows``, so the crossing graph of one set
-is built once however many questions are asked of it. ``PointSet.subset``
+segment sides and crossing rows, ``PointSet.segment_sides`` and
+``PointSet.crossing_rows``, so the crossing graph of one set is built once
+however many questions are asked of it. ``PointSet.subset``
 cuts a subset's table from its set's, with no pass of its own.
 """
 
@@ -24,7 +25,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
-from .chirotope import crossing_rows, restrict_masks, side_masks
+from .chirotope import crossing_rows, restrict_masks, segment_sides, side_masks
 from .errors import InvalidSegmentError, NotGeneralPositionError
 
 Coord = Union[int, Fraction]
@@ -97,12 +98,22 @@ class PointSet:
         return out
 
     @cached_property
+    def segment_sides(self) -> tuple[int, ...]:
+        """Per point, the segments whose line it is left of, kept like ``side_masks``.
+
+        The sides :func:`crossfam.chirotope.segment_sides` reads from the
+        table, from which ``crossing_rows`` is built. Outside general
+        position every read raises :class:`NotGeneralPositionError`.
+        """
+        return tuple(segment_sides(self.side_masks, len(self)))
+
+    @cached_property
     def crossing_rows(self) -> tuple[int, ...]:
         """The crossing graph's adjacency rows over :func:`all_segments`, kept like ``side_masks``.
 
         Outside general position every read raises :class:`NotGeneralPositionError`.
         """
-        return tuple(crossing_rows(self.side_masks, len(self)))
+        return tuple(crossing_rows(self.side_masks, len(self), self.segment_sides))
 
 
 @dataclass(frozen=True, order=True)

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
-from .chirotope import point_masks, refresh_point_rows, segment_sides, update_point_masks
+from .chirotope import point_masks, refresh_point_rows, update_point_masks
 from .crossing import _count_cliques_meeting, count_k_families
 from .errors import NotGeneralPositionError, RetryExhaustedError
 from .geometry import PointSet, normalize_coordinates
@@ -220,8 +220,8 @@ def _objective_delta(adj: list[int], changed: list[tuple[int, int]], k: int) -> 
 
 def _state(S: PointSet, k: int) -> tuple[list[int], list[int], list[int], int]:
     """Side masks, segment sides, crossing rows and k-family count of ``S``, from its tables."""
-    left = list(S.side_masks)
-    return left, segment_sides(left, len(S)), list(S.crossing_rows), count_k_families(S, k)
+    return (list(S.side_masks), list(S.segment_sides), list(S.crossing_rows),
+            count_k_families(S, k))
 
 
 def anneal(

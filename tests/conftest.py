@@ -54,7 +54,7 @@ def kernel_passes(monkeypatch):
 @pytest.fixture
 def row_builds(monkeypatch):
     """Point counts of every ``chirotope.crossing_rows`` build, in call order."""
-    return _count_kernel_calls(monkeypatch, "crossing_rows", lambda left, n: n)
+    return _count_kernel_calls(monkeypatch, "crossing_rows", lambda left, n, sides=None: n)
 
 
 class ReferenceSearch(CliqueSearch):
@@ -140,6 +140,53 @@ class SiblingBlindSearch(CliqueSearch):
                     self._expand(clique, nxt)
                 clique.pop()
                 cand ^= bit
+
+
+def top_vertex_count(adj, k, cand=None):
+    """Number of k-cliques inside ``cand``, each counted at its highest vertex.
+
+    The clique counter with no middle-vertex triangles: the last two levels
+    walk every edge below the top vertex. A test oracle for
+    :func:`crossfam.crossing._count_cliques`.
+    """
+    if cand is None:
+        cand = (1 << len(adj)) - 1
+    if k == 0:
+        return 1
+    if k == 1:
+        return cand.bit_count()
+    return _top_vertex_count_below(adj, tuple([1 << i for i in range(len(adj))]), cand, k)
+
+
+def _top_vertex_count_below(adj, bits, cand, k):
+    total = 0
+    if k == 2:
+        while cand:
+            b = cand.bit_length() - 1
+            cand ^= bits[b]
+            total += (adj[b] & cand).bit_count()
+        return total
+    if k == 3:
+        # each edge (b, c) below the top vertex b closes a triangle with
+        # every common neighbour below c
+        while cand:
+            b = cand.bit_length() - 1
+            cand ^= bits[b]
+            nxt = adj[b] & cand
+            while nxt:
+                c = nxt.bit_length() - 1
+                nxt ^= bits[c]
+                total += (adj[c] & nxt).bit_count()
+        return total
+    while cand:
+        if cand.bit_count() < k:
+            break
+        b = cand.bit_length() - 1
+        cand ^= bits[b]
+        nxt = adj[b] & cand
+        if nxt:
+            total += _top_vertex_count_below(adj, bits, nxt, k - 1)
+    return total
 
 
 def reference_choose_epsilon(S: PointSet, m: int):

@@ -31,7 +31,7 @@ from crossfam.geometry import (
 )
 from crossfam.replication import replicate_certified
 from crossfam.store import load_bundled
-from conftest import ReferenceSearch, SiblingBlindSearch, random_pointset
+from conftest import ReferenceSearch, SiblingBlindSearch, random_pointset, top_vertex_count
 
 
 class TestBuildCrossingGraph:
@@ -403,6 +403,38 @@ def test_clique_counts_on_multipartite_graphs_match_elementary_symmetric(sizes, 
         assert _count_cliques(adj, k, cand) == _elementary_symmetric(inside, k)
         assert _count_cliques_meeting(adj, k, cand, hit) == (
             _elementary_symmetric(inside, k) - _elementary_symmetric(outside_hit, k))
+
+
+def _assert_counts_match_the_top_vertex_counter(adj, rng):
+    """Counts inside the full mask up to k = 4, and inside random masks up to
+    k = 6, equal the top-vertex counter's, as do the counts meeting a
+    random ``hit`` mask: those in ``cand`` less those in ``cand & ~hit``."""
+    for k in range(5):
+        assert _count_cliques(adj, k) == top_vertex_count(adj, k)
+    n = len(adj)
+    for density in (1, 2, 3):  # cand is the AND of this many random masks
+        cand = (1 << n) - 1
+        for _ in range(density):
+            cand &= rng.getrandbits(n)
+        hit = rng.getrandbits(n)
+        for k in range(7):
+            expected = top_vertex_count(adj, k, cand)
+            assert _count_cliques(adj, k, cand) == expected
+            assert _count_cliques_meeting(adj, k, cand, hit) == (
+                expected - top_vertex_count(adj, k, cand & ~hit))
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_clique_counts_on_crossing_graphs_match_the_top_vertex_counter(n):
+    rng = random.Random(n)
+    adj = random_pointset(rng, n).crossing_rows
+    assert len(adj) == comb(n, 2)
+    _assert_counts_match_the_top_vertex_counter(adj, rng)
+
+
+@pytest.mark.parametrize("name, m", [("n9_cf2", 2), ("n9_cf2", 3), ("n14_cf3", 2), ("n14_cf3", 3)])
+def test_clique_counts_on_replicas_match_the_top_vertex_counter(name, m):
+    _assert_counts_match_the_top_vertex_counter(_replica(name, m).crossing_rows, random.Random(m))
 
 
 def _traced_run(cls, adj, target=None):

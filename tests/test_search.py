@@ -36,7 +36,7 @@ from crossfam.search import (
     seed_by_doubling,
 )
 from crossfam.store import bundled_names, load_bundled
-from conftest import pairwise_rows
+from conftest import _count_kernel_calls, pairwise_rows
 
 
 class TestSearchConfig:
@@ -318,6 +318,21 @@ class TestAnneal:
         assert len(unguarded.trace) == 301
         assert len(kernel_passes) == 302
         assert row_builds == [12] * 302
+
+    def test_one_segment_sides_pass_per_state(self, monkeypatch, kernel_passes, row_builds):
+        sides_passes = _count_kernel_calls(monkeypatch, "segment_sides", lambda left, n: n)
+        S = random_general_position(16, random.Random(16), 256)
+        left, sides, adj, count = search._state(S, 4)
+        assert sides_passes == [16] and row_builds == [16] and len(kernel_passes) == 1
+        assert sides == segment_sides(left, 16) and adj == crossing_rows(left, 16)
+        assert count == _count_cliques(adj, 4)
+        # one pass for the start state, one per drift guard, on every
+        # iteration here, and one for the rows of the final recount
+        sides_passes.clear()
+        monkeypatch.setattr(search, "_CHECK_INTERVAL", 1)
+        cfg = SearchConfig(n=12, k=3, seed=4, iterations=30)
+        state = anneal(cfg, random_general_position(12, random.Random(4), cfg.grid_bound))
+        assert len(state.trace) == 31 and sides_passes == [12] * 32
 
     def test_drift_guard_checks_the_kept_sides(self, monkeypatch):
         # Bits of sides[p] on segments through p are never read by a row, so
