@@ -131,9 +131,10 @@ class CliqueSearch:
     BBMC family of solvers (San Segundo et al.): the degrees are held as one
     bitset per binary digit, so each removal step is O(log max degree)
     big-int operations rather than a scan over the vertices, and the rows
-    are relabeled by one transposition of their binary text. ``adjacency``
-    must be symmetric (u in row v iff v in row u): the transposition reads
-    each relabeled row from a column.
+    are relabeled by one bit-matrix transposition, a delta swap per power
+    of two on the rows packed into one int (:func:`_transpose`).
+    ``adjacency`` must be symmetric (u in row v iff v in row u): the
+    transposition reads each relabeled row from a column.
 
     The relabelled rows, the label map and the skip rows are a pure function
     of the rows, computed by :func:`_layout` and kept for the last graph, so
@@ -275,18 +276,76 @@ def _layout(
                 break
             inv[j] = plane ^ borrow
             borrow &= plane
-    # Relabel by one transposition: write the rows in the new order,
-    # position n-1 first, as one text; every n-th character from n-1-u on
-    # is then the row of original vertex u in positions, since the
-    # adjacency is symmetric.
-    text = bytearray()
-    for v in reversed(order):
-        text += format(adjacency[v], f"0{n}b").encode()
-    adj = tuple([int(text[n - 1 - v::n], 2) for v in order])
+    # Relabel by one transposition: the rows, in peel order, are the rows
+    # of a bit matrix whose column u is the row of original vertex u in
+    # positions, since the adjacency is symmetric.
+    cols = _transpose([adjacency[v] for v in order], max(8, 1 << (n - 1).bit_length()))
+    adj = tuple([cols[v] for v in order])
     # skip[p] clears p and its neighbours: one AND of non-negative ints per
     # colouring step
     skip = tuple([full ^ (row | 1 << p) for p, row in enumerate(adj)])
     return tuple(order), adj, skip
+
+
+#: the largest matrix :func:`_transpose` swaps whole. A larger one is
+#: transposed by quadrants, so masks are kept only for sizes 8 to 512, 0.37
+#: MiB in all: the ten masks of size 1024 alone take 1.25 MiB, and keeping
+#: them raised the extremal benchmark's peak RSS by about 1 MiB.
+_WHOLE = 512
+
+
+def _transpose(rows: list[int], size: int) -> list[int]:
+    """The ``size`` columns of the bit matrix ``rows``: bit p of column c is
+    bit c of row p.
+
+    ``size`` is a power of two, at least 8, and bounds both the number of
+    rows and their width. Up to ``_WHOLE`` the rows are packed into one int,
+    row p at bits p * size on, and each delta swap of :func:`_swaps`
+    exchanges the off-diagonal blocks of every 2j x 2j block, j = size/2
+    down to 1. A larger matrix [[A, B], [C, D]] (A the low columns of the
+    top rows) is transposed by quadrants into [[A', C'], [B', D']].
+    """
+    if size > _WHOLE:
+        half = size // 2
+        low = (1 << half) - 1
+        top, bottom = rows[:half], rows[half:]
+        left = zip(_transpose([r & low for r in top], half),
+                   _transpose([r & low for r in bottom], half))
+        right = zip(_transpose([r >> half for r in top], half),
+                    _transpose([r >> half for r in bottom], half))
+        return [a | c << half for a, c in left] + [b | d << half for b, d in right]
+    width = size // 8
+    m = int.from_bytes(b"".join([r.to_bytes(width, "little") for r in rows]), "little")
+    for shift, mask in _swaps(size):
+        t = (m >> shift ^ m) & mask
+        m ^= t | t << shift
+    data = m.to_bytes(width * size, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, width * size, width)]
+
+
+@lru_cache(maxsize=None)
+def _swaps(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap of :func:`_transpose` on ``size`` x
+    ``size`` bits, kept for every size met, a power of two from 8 to
+    ``_WHOLE``.
+
+    The swap for j exchanges bit r * size + c, where r & j == 0 and
+    c & j != 0 (the bits its mask holds), with bit (r + j) * size + c - j,
+    a shift of j * (size - 1). The mask is built from repeated byte
+    patterns: 0.4 ms at size 512, where sums of shifted bits took 15 ms.
+    """
+    width = size // 8
+    swaps = []
+    j = size // 2
+    while j:
+        if j >= 8:
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (size // (2 * j))
+        else:
+            row = bytes([sum(1 << c for c in range(8) if c & j)]) * width
+        mask = int.from_bytes((row * j + bytes(width * j)) * (size // (2 * j)), "little")
+        swaps.append((j * (size - 1), mask))
+        j //= 2
+    return tuple(swaps)
 
 
 def _transversal_top(adj: Sequence[int], classes: list[int]) -> int:

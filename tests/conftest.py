@@ -189,6 +189,47 @@ def _top_vertex_count_below(adj, bits, cand, k):
     return total
 
 
+def text_layout(adjacency):
+    """(to_original, relabelled rows, skip rows) of the clique search, with
+    the rows relabelled by one transposition of their binary text.
+
+    The same bit-plane peel as :func:`crossfam.crossing._layout`; the rows
+    are then written, in peel order from the last vertex peeled, as one text
+    of n characters each, and every n-th character from n-1-u on is read
+    back as the row of original vertex u. A test oracle for ``_layout``.
+    """
+    n = len(adjacency)
+    full = (1 << n) - 1
+    degs = [row.bit_count() for row in adjacency]
+    width = (max(degs).bit_length() or 1) if n else 0
+    digits = "".join([format(d, f"0{width}b") for d in reversed(degs)])
+    inv = [full ^ int(digits[width - 1 - j::width], 2) for j in range(width)]
+    alive = full
+    order = []
+    for _ in range(n):
+        low = alive
+        for plane in reversed(inv):
+            zeros = low & plane
+            if zeros:
+                low = zeros
+        low ^= low & (low - 1)
+        v = low.bit_length() - 1
+        alive ^= low
+        order.append(v)
+        borrow = adjacency[v] & alive
+        for j, plane in enumerate(inv):
+            if not borrow:
+                break
+            inv[j] = plane ^ borrow
+            borrow &= plane
+    text = bytearray()
+    for v in reversed(order):
+        text += format(adjacency[v], f"0{n}b").encode()
+    adj = tuple([int(text[n - 1 - v::n], 2) for v in order])
+    skip = tuple([full ^ (row | 1 << p) for p, row in enumerate(adj)])
+    return tuple(order), adj, skip
+
+
 def reference_choose_epsilon(S: PointSet, m: int):
     """The spacing search with no screen: replicate and certify every spacing tried.
 

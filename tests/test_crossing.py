@@ -31,7 +31,13 @@ from crossfam.geometry import (
 )
 from crossfam.replication import replicate_certified
 from crossfam.store import load_bundled
-from conftest import ReferenceSearch, SiblingBlindSearch, random_pointset, top_vertex_count
+from conftest import (
+    ReferenceSearch,
+    SiblingBlindSearch,
+    random_pointset,
+    text_layout,
+    top_vertex_count,
+)
 
 
 class TestBuildCrossingGraph:
@@ -824,3 +830,52 @@ def test_layout_is_immutable():
     search = CliqueSearch(build_crossing_graph(convex_position_points(8)).adjacency)
     for table in (search._to_original, search._adj, search._skip):
         assert isinstance(table, tuple) and len(table) == comb(8, 2)
+
+
+def _random_symmetric_rows(rng, n, density):
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
+# every edge of the matrix padding: sizes 8, 16, ..., 512 swapped whole, 1024
+# by quadrants, 2048 by quadrants of quadrants
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129,
+                               255, 256, 257, 511, 512, 513, 1025])
+def test_layout_matches_the_text_transposition_on_random_graphs(n):
+    rng = random.Random(n)
+    for density in (0.05, 0.5, 1.0):
+        rows = _random_symmetric_rows(rng, n, density)
+        assert crossing._layout.__wrapped__(rows) == text_layout(rows)
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_layout_matches_the_text_transposition_on_crossing_graphs(n):
+    rows = random_pointset(random.Random(n), n).crossing_rows
+    assert crossing._layout.__wrapped__(rows) == text_layout(rows)
+
+
+@pytest.mark.parametrize("name, m", [("n9_cf2", 2), ("n9_cf2", 3), ("n14_cf3", 2), ("n14_cf3", 3)])
+def test_layout_matches_the_text_transposition_on_replicas(name, m):
+    rows = _replica(name, m).crossing_rows
+    assert crossing._layout.__wrapped__(rows) == text_layout(rows)
+
+
+@pytest.mark.parametrize("size", [8, 16, 32, 64, 128, 256, 512])
+def test_kept_swap_masks_match_their_definition(size):
+    """The swap for j = size/2, ..., 1 shifts by j * (size - 1), and its mask
+    holds bit r * size + c iff r & j == 0 and c & j != 0."""
+    swaps = crossing._swaps(size)
+    assert crossing._swaps(size) is swaps
+    js = [size >> i for i in range(1, size.bit_length())]
+    assert [shift for shift, _ in swaps] == [j * (size - 1) for j in js]
+    for j, (_, mask) in zip(js, swaps):
+        # the text of the mask, its top bit first: row size-1 down to row 0,
+        # each from column size-1 down to column 0
+        row = "".join(["1" if c & j else "0" for c in reversed(range(size))])
+        zeros = "0" * size
+        text = "".join([zeros if r & j else row for r in reversed(range(size))])
+        assert mask == int(text, 2)

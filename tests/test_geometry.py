@@ -1,7 +1,9 @@
+import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, astuple
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from crossfam.geometry import (
     Point,
     PointSet,
     Segment,
+    all_segments,
     convex_position_points,
     has_distinct_coordinates,
     integer_coordinates,
@@ -102,6 +105,30 @@ class TestSegment:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             Segment(3, 3)
+
+    def test_constructor_still_sorts_and_checks(self):
+        assert repr(Segment(3, 1)) == "Segment(a=1, b=3)"
+        with pytest.raises(ValueError, match="degenerate"):
+            Segment(2, 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 24])
+    def test_bulk_segments_are_ordinary_segments(self, n):
+        segments = all_segments(n)
+        assert type(segments) is tuple and len(segments) == comb(n, 2)
+        for s, (a, b) in zip(segments, combinations(range(n), 2)):
+            made = Segment(a, b)
+            assert type(s) is Segment and (s.a, s.b) == (a, b)
+            assert s == made and hash(s) == hash(made)
+            assert repr(s) == repr(made) == f"Segment(a={a}, b={b})"
+            assert vars(s) == vars(made)
+            copy = pickle.loads(pickle.dumps(s))
+            assert type(copy) is Segment and copy == made and vars(copy) == vars(made)
+            assert astuple(s) == astuple(made) == (a, b)
+            with pytest.raises(FrozenInstanceError):
+                s.a = b
+        for s, t in zip(segments, segments[1:]):
+            made = Segment(t.a, t.b)
+            assert s < t and s < made and not made < s and not t < s
 
 
 class TestSegmentsCross:
