@@ -29,15 +29,17 @@ choose_epsilon(S, m), total)``. Any other replica takes its own pass. Both
 checks still certify every trimmed replica from its own table.
 
 Most spacings the search tries fail, so it screens each one before building
-its replica. The screen reads only the lines through two copies of one
-source, with ``chirotope.pair_masks``, and the lines through two sources,
-each at the copies of the clusters near it, on integer coordinates it builds
-from the source and eps. It refutes a spacing that collides coordinates or
-puts a third point on one of those lines, breaks copy order, or lets a
-segment between two sources cross a segment between two copies of a third.
-A refuted spacing is halved at once. Only the full pass accepts a spacing, so
-the search returns the spacing, replica and certificate it would return
-without the screen. An explicit epsilon is never screened.
+its replica, on integer coordinates it builds from the source and eps. It
+reads the lines through two copies of one source, with
+``chirotope.pair_masks``, then each line through two sources at the copies
+of the third clusters near it; copy order, once it holds, fixes the side of
+every copy line each source lies on, so no copy line is read twice. It
+refutes a spacing that collides coordinates or puts a third point on one of
+those lines, breaks copy order, or lets a segment between two sources cross
+a segment between two copies of a third. A refuted spacing is halved at
+once. Only the full pass accepts a spacing, so the search returns the
+spacing, replica and certificate it would return without the screen. An
+explicit epsilon is never screened.
 """
 
 from __future__ import annotations
@@ -291,12 +293,17 @@ class _SpacingScreen:
       predicate of :func:`verify_copy_order`;
     * a segment between two sources crosses a segment between two copies
       of a third source s, which breaks cluster isolation: the line of the
-      sources a, b splits the copies of s, and the line through a copy q
-      left of it and a copy r right of it separates a from b.
+      sources a, b splits the copies of s, and s lies between a and b in y,
+      so copy order puts a and b on opposite sides of every line through
+      two copies of s.
 
-    A line through two sources is read only at the copies of the sources
-    near it: a cluster whose source lies far from the line lies wholly on
-    its side, so it holds no point of the line and is not split.
+    A line through two sources is read only at the copies of the third
+    sources near it: a cluster whose source lies far from the line lies
+    wholly on its side, so it holds no point of the line and is not split.
+    No copy of a or b but a and b themselves lies on the line, since such a
+    copy of a would put b on a line through two copies of a, which the
+    copy lines already read; so a line with no third source near it is not
+    read at all.
     """
 
     def __init__(self, S: PointSet, m: int):
@@ -309,7 +316,6 @@ class _SpacingScreen:
         # copy i lies at x + i*eps, so copy numbers order the x of a cluster
         self._lines = _copy_order_lines(S, cmap, [i for _, i in cmap.entries])
         self._line_pairs = [(v, u) for v, u, _, _ in self._lines]
-        self._line_index = {(u, v): i for i, (v, u) in enumerate(self._line_pairs)}
         # Per line through two sources a, b: |u_x| and |u_y| in source units,
         # the |det| of each source against it and that of the nearest third
         # source.
@@ -333,10 +339,10 @@ class _SpacingScreen:
         source's by at most reach = (m-1)^2*|u_x|*e_y + (m-1)*|u_y|*e_x. A
         source farther than reach from the line through a and b (its |det|
         from the set-up, times dx*dy) has all its copies strictly on one
-        side of it, so only the clusters of the sources within reach are
-        swept: mostly the nearest third source is beyond reach, and only the
-        clusters of a and b, which the segment ab cannot split, are swept
-        for points on the line.
+        side of it, so only the clusters of the third sources within reach
+        are read. Mostly the nearest third source is beyond reach, and the
+        line is skipped: once the copy lines hold no third point, the
+        clusters of a and b meet it only at a and b.
         """
         n, m = self._n, self._m
         ex = eps * self._lx
@@ -354,32 +360,20 @@ class _SpacingScreen:
         reach_x = (m - 1) ** 2 * dx * ey.numerator
         reach_y = (m - 1) * dy * ex.numerator
         for a, b, ux0, uy0, dist, nearest in self._source_lines:
+            reach = ux0 * reach_x + uy0 * reach_y
+            if nearest * scale > reach:
+                continue
             ax, ay = coords[a]
             ux = coords[b][0] - ax
             uy = coords[b][1] - ay
             k = ux * ay - uy * ax  # orient(a, b, c) = ux*cy - uy*cx - k
-            reach = ux0 * reach_x + uy0 * reach_y
-            if nearest * scale > reach:
-                near = (a, b)
-            else:
-                near = [s for s, d in enumerate(dist) if d * scale <= reach]
-            on_line = 0
-            for s in near:
-                left = []  # per copy of s, whether it lies left of a -> b
-                for q in range(s, n * m, n):
-                    x, y = coords[q]
-                    det = ux * y - uy * x
-                    left.append(det > k)
-                    on_line += det == k
-                if s == a or s == b:
-                    continue  # isolation lets ab cross segments at copies of a or b
-                for i, j in combinations(range(m), 2):
-                    if left[i] != left[j]:
-                        line = lines[self._line_index[s + i * n, s + j * n]]
-                        if (line >> a ^ line >> b) & 1:
-                            return True
-            if on_line > 2:  # a and b themselves are on the line
-                return True
+            low, high = sorted((self._y[a], self._y[b]))
+            for s, d in enumerate(dist):
+                if s == a or s == b or d * scale > reach:
+                    continue
+                dets = [ux * y - uy * x for x, y in coords[s::n]]
+                if k in dets or (min(dets) < k < max(dets) and low < self._y[s] < high):
+                    return True
         return False
 
 

@@ -164,6 +164,9 @@ class TestIsCrossingFamily:
         assert is_crossing_family(S, [])
         assert is_crossing_family(S, [Segment(0, 4)])
 
+    def test_repeated_segment_is_not_a_family(self):
+        assert not is_crossing_family(convex_position_points(5), [Segment(0, 2), Segment(0, 2)])
+
 
 def _gp(S):
     from crossfam.geometry import is_general_position
@@ -201,6 +204,10 @@ class TestHasKFamily:
 class TestCountKFamilies:
     def test_convex_5gon_pairs(self):
         assert count_k_families(convex_position_points(5), 2) == 5
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="family size must be non-negative"):
+            count_k_families(convex_position_points(5), -1)
 
     def test_triangle_no_pairs(self):
         assert count_k_families(convex_position_points(3), 2) == 0

@@ -239,6 +239,10 @@ class TestSearchConfigFormat:
         parsed, initial = parse_search_config(format_search_config(cfg))
         assert parsed == cfg and initial is None
 
+    def test_initial_key_round_trips(self):
+        cfg = SearchConfig(n=7, k=3, seed=1, iterations=10)
+        assert parse_search_config(format_search_config(cfg, "start.txt")) == (cfg, "start.txt")
+
     def test_initial_key(self):
         text = "n = 7\nk = 3\nseed = 1\niterations = 10\ninitial = start.txt\n"
         cfg, initial = parse_search_config(text)

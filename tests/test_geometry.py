@@ -153,6 +153,11 @@ class TestSegmentsCross:
         S = PointSet.from_coords([(0, 0), (3, 0), (1, 0), (2, 0)])
         assert not segments_cross(S, Segment(0, 1), Segment(2, 3))
 
+    def test_endpoint_on_the_other_segment_is_non_crossing(self):
+        # the line of 0-1 splits 2 from 3, but point 1 lies on segment 2-3
+        S = PointSet.from_coords([(0, 0), (1, 0), (1, -1), (1, 1)])
+        assert not segments_cross(S, Segment(0, 1), Segment(2, 3))
+
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
                     min_size=4, max_size=4, unique=True))
     def test_symmetric_in_segment_arguments(self, coords):
@@ -314,3 +319,8 @@ def test_convex_position_points_general_position():
     S = convex_position_points(12)
     assert is_general_position(S)
     assert has_distinct_coordinates(S)
+
+
+def test_convex_position_points_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="point count must be non-negative"):
+        convex_position_points(-1)

@@ -37,6 +37,14 @@ class TestKnownTable:
         lower, upper, _ = known_bounds(41)
         assert (lower, upper) == (4, 8)
 
+    def test_bound_needs_a_positive_count(self):
+        with pytest.raises(ValueError, match="point count must be positive"):
+            bound_details(0)
+
+    def test_bound_rejects_a_bad_library_entry(self):
+        with pytest.raises(ValueError, match=r"bad library entry \(0, 3\)"):
+            bound_details(10, [(0, 3)])
+
     def test_intervals_cover_and_do_not_overlap(self):
         # Each threshold holds from its n_lo up to the next threshold's n_lo - 1,
         # and the last one is open, so every n >= 2 lies in exactly one interval.

@@ -426,6 +426,7 @@ class FullSweepScreen(_SpacingScreen):
         lines = pair_masks(coords, self._line_pairs)
         if lines is None or not _copy_order_holds(self._lines, lines):
             return True
+        index = {(u, v): i for i, (v, u) in enumerate(self._line_pairs)}
         source_pairs = list(combinations(range(n), 2))
         sources = pair_masks(coords, source_pairs)
         if sources is None:
@@ -441,7 +442,7 @@ class FullSweepScreen(_SpacingScreen):
                     continue
                 for q, r in combinations(range(s, n * m, n), 2):
                     if (mask >> q ^ mask >> r) & 1:
-                        line = lines[self._line_index[q, r]]
+                        line = lines[index[q, r]]
                         if (line >> a ^ line >> b) & 1:
                             return True
         return False
@@ -450,6 +451,24 @@ class FullSweepScreen(_SpacingScreen):
 def _assert_screen_matches_the_full_sweep(S, m, eps):
     """Same verdict as the screen that reads its source lines over every point."""
     assert _SpacingScreen(S, m).refutes(eps) == FullSweepScreen(S, m).refutes(eps)
+
+
+def rational_screen_case(seed):
+    """Rational sources in general position, n <= 9 and m <= 5, and 12 halvings
+    of a spacing from near the search's start to well below it."""
+    rng = random.Random(seed)
+    n, m = rng.randint(3, 9), rng.randint(2, 5)
+    while True:
+        S = PointSet.from_coords([(Fraction(rng.randint(-40, 40), rng.randint(1, 6)),
+                                   Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
+                                  for _ in range(n)])
+        if is_general_position(S) and has_distinct_coordinates(S):
+            break
+    gaps = [abs(p.x - q.x) for p, q in combinations(S, 2)]
+    gaps += [abs(p.y - q.y) for p, q in combinations(S, 2)]
+    eps = min(gaps) / (4 * m) * 2 ** rng.randint(0, 5)
+    eps *= Fraction(rng.randint(1, 7), rng.randint(1, 7))
+    return S, m, [eps / 2**h for h in range(12)]
 
 
 def _extremal_pool(seed):
@@ -481,6 +500,27 @@ class TestSpacingScreen:
     def test_source_lines_match_the_full_sweep(self, seed):
         S, m, eps, _ = replication_case(seed)
         _assert_screen_matches_the_full_sweep(S, m, eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_source_lines_match_the_full_sweep_on_rational_sets(self, seed):
+        S, m, spacings = rational_screen_case(seed)
+        for eps in spacings:
+            _assert_screen_matches_the_full_sweep(S, m, eps)
+
+    def test_rational_sets_are_refuted_by_source_lines_alone(self):
+        # some spacings pass every line through two copies of one source and
+        # are refuted only by a line through two sources
+        alone = 0
+        for seed in range(40):
+            S, m, spacings = rational_screen_case(seed)
+            screen, copy_lines = _SpacingScreen(S, m), _SpacingScreen(S, m)
+            copy_lines._source_lines = []
+            for eps in spacings:
+                refuted = screen.refutes(eps)
+                assert refuted == FullSweepScreen(S, m).refutes(eps)
+                alone += refuted and not copy_lines.refutes(eps)
+        assert alone > 0
 
     def test_third_point_on_a_source_line_is_refuted(self):
         # no cluster is split: only the count of the points on the line
@@ -612,6 +652,17 @@ class TestChooseEpsilon:
                 search()
             assert str(exc.value).startswith(message)
 
+    @pytest.mark.parametrize("eps", [0, Fraction(-1, 2)])
+    def test_spacing_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            replicate_certified(convex_position_points(4), 2, eps)
+
+    @pytest.mark.parametrize("total", [8, 19])
+    def test_total_must_fit_the_copies(self, total):
+        S = normalize_coordinates(load_bundled("n9_cf2")[0])
+        with pytest.raises(ValueError, match=rf"total must lie in \[9, 18\], got {total}"):
+            replicate_certified(S, 2, Fraction(1, 16), total)
+
     @pytest.mark.parametrize("n,m", [(4, 2), (5, 2), (3, 3)])
     def test_random_sets_certifiable(self, rng, n, m):
         S = normalize_coordinates(random_pointset(rng, n))
@@ -626,6 +677,12 @@ class TestContractFamily:
         S = convex_position_points(4)
         S2, cmap, _ = replicate_certified(S, 2, choose_epsilon(S, 2))
         assert contract_family(S2, cmap, []) == ()
+
+    def test_segment_out_of_range(self):
+        S = normalize_coordinates(load_bundled("n9_cf2")[0])
+        S2, cmap, _ = replicate_certified(S, 2, Fraction(1, 16))
+        with pytest.raises(ValueError, match="segment 0 18 out of range for 18 points"):
+            contract_family(S2, cmap, [Segment(0, 18)])
 
     def test_m1_renaming(self):
         S = convex_position_points(4)

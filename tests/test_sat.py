@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from crossfam import sat
 from crossfam.crossing import max_crossing_family
-from crossfam.errors import ParseError, SignotopeViolationError
+from crossfam.errors import NotGeneralPositionError, ParseError, SignotopeViolationError
 from crossfam.geometry import (
     PointSet,
     all_segments,
@@ -55,6 +55,10 @@ def double_factorial(x):
 
 
 class TestVarMap:
+    def test_needs_three_points(self):
+        with pytest.raises(ValueError, match="need at least 3 points for orientation variables"):
+            VarMap(2)
+
     def test_triple_ids_dense_lexicographic(self):
         vm = VarMap(5)
         assert vm.triple_var(0, 1, 2) == 1
@@ -740,6 +744,15 @@ class TestReaderSeams:
 
 
 class TestAssignmentFromPointset:
+    def test_point_count_must_match_the_map(self):
+        with pytest.raises(ValueError, match="point set has 8 points, variable map expects 9"):
+            assignment_from_pointset(PointSet.from_coords(NINE_POINT_CF2[:8]), VarMap(9))
+
+    def test_requires_general_position(self):
+        S = PointSet.from_coords([(0, 0), (1, 1), (2, 2), (3, 0)])
+        with pytest.raises(NotGeneralPositionError, match="assignment requires general position"):
+            assignment_from_pointset(S, VarMap(4))
+
     def test_realizable_sets_satisfy_axioms_and_crossing_clauses(self, rng):
         for _ in range(25):
             n = rng.randint(4, 9)
@@ -838,6 +851,11 @@ class TestDecodeOrderType:
         mixed_signs = {sign for a, b, c, sign in triples if interior in (a, b, c)}
         assert hull_signs == {-1}
         assert mixed_signs == {-1, 1}
+
+    def test_short_assignment_rejected(self):
+        vm = VarMap(5)
+        with pytest.raises(ValueError, match="assignment does not cover the triple variables"):
+            decode_order_type([False] * vm.num_triple_vars, vm)
 
     def test_non_signotope_rejected(self):
         vm = VarMap(4)

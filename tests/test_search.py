@@ -231,6 +231,23 @@ class TestAnneal:
         bests = [row[3] for row in state.trace]
         assert all(a >= b for a, b in zip(bests, bests[1:]))
 
+    @pytest.mark.parametrize("coords,message", [
+        ([(0, 0), (Fraction(1, 2), 3), (4, 1), (2, 5)],
+         "initial set must have integer coordinates"),
+        ([(0, 0), (1, 1), (2, 2), (0, 3)], "initial set must be in general position"),
+    ])
+    def test_initial_set_checked(self, coords, message):
+        with pytest.raises(ValueError, match=message):
+            anneal(SearchConfig(n=4, k=2, seed=0, iterations=10), PointSet.from_coords(coords))
+
+    def test_final_recount_catches_a_drifted_objective(self, monkeypatch):
+        # far fewer iterations than the drift guard's interval
+        monkeypatch.setattr(search, "_objective_delta", lambda adj, changed, k: -1)
+        cfg = SearchConfig(n=7, k=2, seed=1, iterations=50)
+        init = random_general_position(7, random.Random(1), cfg.grid_bound)
+        with pytest.raises(AssertionError, match="objective bookkeeping drifted"):
+            anneal(cfg, init)
+
     def test_best_objective_consistent_with_recount(self):
         cfg = SearchConfig(n=7, k=3, seed=11, iterations=2000)
         init = random_general_position(7, random.Random(11), cfg.grid_bound)
@@ -448,3 +465,7 @@ class TestRandomGeneralPosition:
     def test_deterministic(self):
         assert random_general_position(9, random.Random(3), 81) \
             == random_general_position(9, random.Random(3), 81)
+
+    def test_bound_must_be_positive(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            random_general_position(3, random.Random(0), 0)

@@ -1,6 +1,8 @@
 import pytest
 
+from crossfam import store
 from crossfam.crossing import brute_force_cf, max_crossing_family
+from crossfam.errors import ParseError
 from crossfam.geometry import is_general_position
 from crossfam.known import known_bounds
 from crossfam.store import bundled_names, load_bundled
@@ -40,3 +42,11 @@ class TestBundledSets:
 def test_unknown_name_rejected():
     with pytest.raises(KeyError):
         load_bundled("n999_cf0")
+
+
+def test_missing_cf_header_rejected(monkeypatch, tmp_path):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "bare.txt").write_text("0 0\n1 0\n0 1\n")
+    monkeypatch.setattr(store.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ParseError, match="bundled set 'bare' lacks a '# cf = <value>' header"):
+        load_bundled("bare")

@@ -10,6 +10,7 @@ from crossfam.thrackle import (
     is_geometric_thrackle,
     star_polygon,
 )
+from crossfam.store import load_bundled
 from conftest import random_pointset
 
 
@@ -33,6 +34,15 @@ class TestIsGeometricThrackle:
     @pytest.mark.parametrize("c", [3, 5, 7, 9])
     def test_odd_star_polygons_are_thrackles(self, c):
         assert is_geometric_thrackle(star_polygon(c))
+
+    def test_edge_out_of_range(self):
+        S = load_bundled("n9_cf2")[0]
+        with pytest.raises(ValueError, match="edge 0 9 out of range for 9 points"):
+            GeometricGraph(S, frozenset({Segment(0, 9)}))
+
+    def test_star_polygon_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="need at least 3 vertices for a cycle"):
+            star_polygon(2)
 
     def test_skip2_hexagon_drawing_is_not(self):
         # two nested triangles on a convex hexagon: {0,2} and {3,5} are disjoint
