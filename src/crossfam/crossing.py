@@ -24,27 +24,85 @@ used as an oracle in tests.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional
 
-from .errors import InvalidSegmentError, SizeLimitError
-from .geometry import PointSet, Segment, all_segments, segments_cross
+from .chirotope import _segment_offsets
+from .errors import SizeLimitError
+from .geometry import (PointSet, Segment, _crosses, _integer_points, all_segments,
+                       segments_cross)
 
 CrossingFamily = tuple[Segment, ...]
+
+
+class SegmentList(Sequence):
+    """The C(n, 2) segments over labels 0..n-1 in lexicographic order, made when read.
+
+    It reads as the tuple :func:`crossfam.geometry.all_segments` ``(n)`` does:
+    the same length, order, items and slices (tuples), and it equals that
+    tuple; ``index``, ``in`` and ``count`` are the :class:`Sequence` mixins
+    over the items. No segment is kept: reading index i makes the segment
+    (a, b) with ``off[a] + b == i``, ``off`` from
+    :func:`crossfam.chirotope._segment_offsets`, so a graph whose search
+    reads k witness segments makes k segments, not C(n, 2).
+    """
+
+    __slots__ = ("_n", "_len", "_off", "_starts")
+
+    def __init__(self, n: int):
+        self._n = n
+        self._len = n * (n - 1) // 2
+        self._off = off = _segment_offsets(n)
+        self._starts = [o + a + 1 for a, o in enumerate(off)]  # index of segment (a, a + 1)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple([self[j] for j in range(*i.indices(self._len))])
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("segment index out of range")
+        a = bisect_right(self._starts, i) - 1
+        segment = object.__new__(Segment)  # as all_segments makes it, a < b
+        fields = segment.__dict__
+        fields["a"] = a
+        fields["b"] = i - self._off[a]
+        return segment
+
+    def __iter__(self) -> Iterator[Segment]:
+        return iter(all_segments(self._n))
+
+    def __eq__(self, other: object):
+        if isinstance(other, SegmentList):
+            return self._len == other._len  # C(n, 2) differs for n >= 1; n = 0, 1 are empty
+        if isinstance(other, tuple):
+            return len(other) == self._len and all_segments(self._n) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SegmentList({self._n})"
 
 
 class CrossingGraph:
     """Immutable crossing graph over the segments of a point set.
 
-    ``segments`` lists all C(n, 2) segments in lexicographic order and
+    ``segments`` lists all C(n, 2) segments in lexicographic order, a
+    :class:`SegmentList` that makes each one when it is read, and
     ``adjacency`` holds one bitset per segment index. Construct via
     :func:`build_crossing_graph`.
     """
 
     __slots__ = ("segments", "adjacency")
 
-    def __init__(self, segments: tuple[Segment, ...], adjacency: tuple[int, ...]):
+    def __init__(self, segments: Sequence[Segment], adjacency: tuple[int, ...]):
         self.segments = segments
         self.adjacency = adjacency
 
@@ -58,7 +116,7 @@ class CrossingGraph:
 
 def build_crossing_graph(S: PointSet) -> CrossingGraph:
     """Crossing graph over all segments of ``S`` (requires general position, n >= 2)."""
-    return CrossingGraph(all_segments(len(S)), _adjacency(S))
+    return CrossingGraph(SegmentList(len(S)), _adjacency(S))
 
 
 def _adjacency(S: PointSet) -> tuple[int, ...]:
@@ -402,7 +460,7 @@ def has_k_family(S: PointSet, k: int) -> Optional[CrossingFamily]:
     size, vertices = CliqueSearch(_adjacency(S)).run(target=k)
     if size < k:
         return None
-    segments = all_segments(len(S))
+    segments = SegmentList(len(S))
     return tuple(segments[v] for v in vertices)
 
 
@@ -535,12 +593,13 @@ def brute_force_cf(S: PointSet) -> int:
 
 
 def is_crossing_family(S: PointSet, family: Sequence[Segment]) -> bool:
-    """True iff the segments pairwise cross in their interiors; every index must be in ``S``."""
-    members = list(family)
-    n = len(S)
-    bad = [i for s in members for i in (s.a, s.b) if not 0 <= i < n]
-    if bad:
-        raise InvalidSegmentError(f"point index {bad[0]} out of range for {n} points")
-    if len(set(members)) != len(members):
-        return False
-    return all(segments_cross(S, s, t) for s, t in combinations(members, 2))
+    """True iff the segments pairwise cross in their interiors; every index must be in ``S``.
+
+    The endpoints are checked against ``S`` and scaled to integers once, and
+    every pair goes through the one integer crossing test of
+    :func:`crossfam.geometry.segments_cross`. A repeated segment shares its
+    endpoints with itself, so a family that repeats one fails that test.
+    """
+    ends = _integer_points(S, [i for s in family for i in (s.a, s.b)])
+    return all(_crosses(p, q, r, t)
+               for (p, q), (r, t) in combinations(zip(ends[::2], ends[1::2]), 2))

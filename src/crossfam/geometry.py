@@ -168,25 +168,44 @@ def segments_cross(S: PointSet, s1: Segment, s2: Segment) -> bool:
 
     Segments sharing an endpoint never cross. Collinear triples (possible
     only outside general position) count as non-crossing, since an interior
-    crossing requires strictly opposite orientations on both sides.
+    crossing requires strictly opposite orientations on both sides. The four
+    endpoints are scaled to integers once (:func:`_integer_points`).
+    """
+    p, q, r, t = _integer_points(S, (s1.a, s1.b, s2.a, s2.b))
+    return _crosses(p, q, r, t)
+
+
+def _integer_points(S: PointSet, indices: Sequence[int]) -> list[tuple[int, int]]:
+    """Integer coordinates of the points at ``indices``, each axis scaled once.
+
+    Each axis is scaled by the least common denominator of the listed
+    points, the positive map of :func:`integer_coordinates`, so every
+    orientation among them keeps its sign. Raises
+    :class:`InvalidSegmentError` for the first index out of range, in
+    the order given.
     """
     n = len(S)
-    for idx in (s1.a, s1.b, s2.a, s2.b):
-        if not 0 <= idx < n:
-            raise InvalidSegmentError(f"point index {idx} out of range for {n} points")
-    if s1.shares_endpoint(s2):
+    for i in indices:
+        if not 0 <= i < n:
+            raise InvalidSegmentError(f"point index {i} out of range for {n} points")
+    return _scaled([S.points[i] for i in indices])
+
+
+def _crosses(p: tuple[int, int], q: tuple[int, int],
+            r: tuple[int, int], t: tuple[int, int]) -> bool:
+    """True iff segment pq crosses segment rt in their interiors, on integer points.
+
+    r and t lie strictly on opposite sides of the line pq, and p and q of
+    the line rt: four cross-product signs, none zero. Segments sharing an
+    endpoint put it on the other's line, so they never cross.
+    """
+    px, py = p
+    ux, uy = q[0] - px, q[1] - py
+    if (ux * (r[1] - py) - uy * (r[0] - px)) * (ux * (t[1] - py) - uy * (t[0] - px)) >= 0:
         return False
-    p, q = S[s1.a], S[s1.b]
-    r, t = S[s2.a], S[s2.b]
-    o1 = orientation(p, q, r)
-    o2 = orientation(p, q, t)
-    if o1 == Orientation.COLLINEAR or o2 == Orientation.COLLINEAR or o1 == o2:
-        return False
-    o3 = orientation(r, t, p)
-    o4 = orientation(r, t, q)
-    if o3 == Orientation.COLLINEAR or o4 == Orientation.COLLINEAR:
-        return False
-    return o3 != o4
+    rx, ry = r
+    vx, vy = t[0] - rx, t[1] - ry
+    return (vx * (py - ry) - vy * (px - rx)) * (vx * (q[1] - ry) - vy * (q[0] - rx)) < 0
 
 
 def is_general_position(S: PointSet) -> bool:
@@ -211,14 +230,15 @@ def integer_coordinates(S: PointSet) -> list[tuple[int, int]]:
     positive diagonal map, so every triple orientation and every crossing
     is preserved exactly. Heavy predicate loops run on the result.
     """
-    lx = lcm(*(p.x.denominator for p in S)) if len(S) else 1
-    ly = lcm(*(p.y.denominator for p in S)) if len(S) else 1
-    out = []
-    for p in S:
-        x = p.x * lx
-        y = p.y * ly
-        out.append((int(x), int(y)))
-    return out
+    return _scaled(S.points)
+
+
+def _scaled(points: Sequence[Point]) -> list[tuple[int, int]]:
+    """``points`` with each axis multiplied by the lcm of its denominators, as ints."""
+    lx = lcm(*[p.x.denominator for p in points])
+    ly = lcm(*[p.y.denominator for p in points])
+    return [(p.x.numerator * (lx // p.x.denominator), p.y.numerator * (ly // p.y.denominator))
+            for p in points]
 
 
 def to_integer_coordinates(S: PointSet) -> PointSet:

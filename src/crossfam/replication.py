@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence
@@ -85,7 +86,15 @@ class CopyMap:
         return self.entries[index][0]
 
     def copies_of(self, source: int) -> tuple[int, ...]:
-        return tuple(i for i, (src, _) in enumerate(self.entries) if src == source)
+        return self._copies.get(source, ())
+
+    @cached_property
+    def _copies(self) -> dict[int, tuple[int, ...]]:
+        """Per source, its replicated indices in increasing order; one pass, kept (not a field)."""
+        copies: dict[int, list[int]] = {}
+        for i, (src, _) in enumerate(self.entries):
+            copies.setdefault(src, []).append(i)
+        return {src: tuple(indices) for src, indices in copies.items()}
 
 
 @dataclass(frozen=True)

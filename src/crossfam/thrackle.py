@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .geometry import PointSet, Segment, convex_position_points, segments_cross
+from .geometry import PointSet, Segment, _crosses, _integer_points, convex_position_points
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,16 @@ class GeometricGraph:
 
 
 def is_geometric_thrackle(G: GeometricGraph) -> bool:
-    """True iff every pair of distinct edges shares an endpoint or crosses properly."""
+    """True iff every pair of distinct edges shares an endpoint or crosses properly.
+
+    The endpoints are scaled to integers once, and every pair that shares
+    no endpoint goes through the integer crossing test of
+    :func:`crossfam.geometry.segments_cross`.
+    """
     edges = G.sorted_edges()
-    for e, f in combinations(edges, 2):
-        if e.shares_endpoint(f):
-            continue
-        if not segments_cross(G.pointset, e, f):
+    ends = _integer_points(G.pointset, [i for e in edges for i in (e.a, e.b)])
+    for (e, p, q), (f, r, t) in combinations(zip(edges, ends[::2], ends[1::2]), 2):
+        if not e.shares_endpoint(f) and not _crosses(p, q, r, t):
             return False
     return True
 

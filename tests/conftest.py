@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import crossfam
 from crossfam import chirotope
 from crossfam.crossing import CliqueSearch, _transversal_top
-from crossfam.errors import DegenerateEpsilonError, EpsilonSearchError
-from crossfam.geometry import PointSet, all_segments, segments_cross
+from crossfam.errors import DegenerateEpsilonError, EpsilonSearchError, InvalidSegmentError
+from crossfam.geometry import PointSet, Segment, all_segments, orientation, segments_cross
 from crossfam.replication import _replica
 from crossfam.search import random_general_position
 
@@ -264,6 +264,59 @@ def pairwise_rows(S: PointSet) -> list[int]:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return rows
+
+
+def reference_cross(S: PointSet, s1, s2) -> bool:
+    """Proper crossing from four calls of the public ``orientation``: the
+    pairwise test as it stood before the endpoints were scaled once."""
+    n = len(S)
+    for idx in (s1.a, s1.b, s2.a, s2.b):
+        if not 0 <= idx < n:
+            raise InvalidSegmentError(f"point index {idx} out of range for {n} points")
+    if s1.shares_endpoint(s2):
+        return False
+    p, q, r, t = S[s1.a], S[s1.b], S[s2.a], S[s2.b]
+    return (orientation(p, q, r) * orientation(p, q, t) < 0
+            and orientation(r, t, p) * orientation(r, t, q) < 0)
+
+
+def reference_is_crossing_family(S: PointSet, family) -> bool:
+    members = list(family)
+    n = len(S)
+    bad = [i for s in members for i in (s.a, s.b) if not 0 <= i < n]
+    if bad:
+        raise InvalidSegmentError(f"point index {bad[0]} out of range for {n} points")
+    if len(set(members)) != len(members):
+        return False
+    return all(reference_cross(S, s, t) for s, t in combinations(members, 2))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the crossfam error it raised."""
+    try:
+        return f(*args)
+    except InvalidSegmentError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def exact_pointsets(draw, min_size=4, max_size=8):
+    """Points on a small grid of ints, fractions or both, so that collinear
+    triples, shared coordinates and repeated points are common."""
+    ints = st.integers(-4, 4)
+    fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+    coord = draw(st.sampled_from([ints, fractions, st.one_of(ints, fractions)]))
+    big = draw(st.sampled_from([1, 10 ** 30]))  # a scale far past float range
+    return PointSet.from_coords(draw(st.lists(
+        st.tuples(coord, coord).map(lambda p: (p[0] * big, p[1])),
+        min_size=min_size, max_size=max_size, unique=draw(st.booleans()))))
+
+
+def exact_segments(n: int, low: int = 0, high: int = 0):
+    """Segments over labels low..n-1+high; ``low < 0`` or ``high > 0`` reach
+    out of range."""
+    return st.tuples(st.integers(low, n - 1 + high), st.integers(low, n - 1 + high)).filter(
+        lambda ab: ab[0] != ab[1]).map(lambda ab: Segment(*ab))
 
 
 def collinear_triple(coords) -> tuple[int, int, int] | None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crossfam import crossing
 from crossfam.crossing import (
     CliqueSearch,
+    SegmentList,
     _count_cliques,
     _count_cliques_meeting,
     _transversal_top,
@@ -34,7 +35,12 @@ from crossfam.store import load_bundled
 from conftest import (
     ReferenceSearch,
     SiblingBlindSearch,
+    exact_pointsets,
+    exact_segments,
+    outcome,
     random_pointset,
+    reference_cross,
+    reference_is_crossing_family,
     text_layout,
     top_vertex_count,
 )
@@ -90,14 +96,85 @@ def test_one_kernel_pass_per_set(kernel_passes, row_builds):
     assert row_builds == [20]
 
 
+@pytest.mark.parametrize("n", range(46))
+def test_segment_list_reads_as_all_segments(n):
+    segments, made = SegmentList(n), all_segments(n)
+    size = len(made)
+    assert len(segments) == size and tuple(segments) == made and list(segments) == list(made)
+    for i in range(-size, size):
+        s = segments[i]
+        assert type(s) is Segment and s == made[i] and vars(s) == vars(made[i])
+    for bad in (size, size + 1, -size - 1):
+        with pytest.raises(IndexError):
+            segments[bad]
+    for part in (slice(None), slice(None, None, -1), slice(1, -1), slice(-5, None),
+                 slice(3, 40, 7), slice(size, None), slice(-size - 9, 4), slice(None, None, 2)):
+        assert segments[part] == made[part]
+    for s in made[::max(1, size // 12)] + (Segment(0, n + 1), Segment(n - 1, n), (0, 1)):
+        assert (s in segments) == (s in made)
+        assert segments.count(s) == made.count(s)
+        if s in made:
+            i = made.index(s)
+            assert segments.index(s) == i and segments.index(s, i, i + 1) == i
+            with pytest.raises(ValueError):
+                segments.index(s, i + 1)
+        else:
+            with pytest.raises(ValueError):
+                segments.index(s)
+    assert segments == made and made == segments
+    assert not segments != made and not made != segments
+    assert segments == SegmentList(n) and segments != SegmentList(n + 2)
+    assert segments != all_segments(n + 2) and all_segments(n + 2) != segments
+    assert segments != list(made)
+
+
+@pytest.mark.parametrize("name", ["n4_cf1", "n9_cf2", "n14_cf3", "n20_cf4"])
+def test_witnesses_map_through_the_segment_list(name):
+    # the witness indices, mapped through the tuple, give the segments the
+    # queries return
+    S, cf = load_bundled(name)
+    segments = all_segments(len(S))
+    size, vertices = CliqueSearch(build_crossing_graph(S).adjacency).run()
+    assert max_crossing_family(S) == (cf, tuple(segments[v] for v in vertices))
+    for k in (cf, cf + 1):
+        size, vertices = CliqueSearch(build_crossing_graph(S).adjacency).run(target=k)
+        expected = tuple(segments[v] for v in vertices) if size == k else None
+        assert has_k_family(S, k) == expected
+    assert has_k_family(S, cf + 1) is None
+
+
 def test_decide_and_count_build_no_segments(monkeypatch):
-    built = []
+    # a search reads only its witness's segments, each made when read; no
+    # query builds the list of all C(n, 2)
+    built, read = [], []
     monkeypatch.setattr(crossing, "all_segments", lambda n: built.append(n) or all_segments(n))
+    item = SegmentList.__getitem__
+    monkeypatch.setattr(SegmentList, "__getitem__", lambda self, i: read.append(i) or item(self, i))
     S = random_pointset(random.Random(21), 12)
-    k = max_crossing_family(S)[0]
+    k, family = max_crossing_family(S)
+    assert len(read) == k and is_crossing_family(S, family)
     assert has_k_family(S, k + 1) is None and count_k_families(S, 2) > 0
-    assert built == [12]
-    assert is_crossing_family(S, has_k_family(S, k)) and built == [12, 12]
+    assert len(read) == k
+    assert is_crossing_family(S, has_k_family(S, k)) and len(read) == 2 * k
+    assert built == []
+
+
+def test_checks_and_oracle_read_no_kernel_table(monkeypatch):
+    # the pairwise checks stay independent of the kernel they check
+    from crossfam import chirotope, geometry
+
+    def refuse(*args):
+        raise AssertionError("the kernel was read")
+
+    for module in (chirotope, geometry):
+        for name in ("side_masks", "segment_sides", "crossing_rows"):
+            monkeypatch.setattr(module, name, refuse)
+    coords = [(p.x, p.y) for p in load_bundled("n9_cf2")[0]]
+    S = PointSet.from_coords(coords)
+    family = (Segment(0, 8), Segment(3, 4))  # the bundled witness
+    assert segments_cross(S, *family) and is_crossing_family(S, family)
+    assert brute_force_cf(S) == 2
+    assert "side_masks" not in vars(S) and "crossing_rows" not in vars(S)
 
 
 class TestMaxCrossingFamily:
@@ -166,6 +243,27 @@ class TestIsCrossingFamily:
 
     def test_repeated_segment_is_not_a_family(self):
         assert not is_crossing_family(convex_position_points(5), [Segment(0, 2), Segment(0, 2)])
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_matches_the_orientation_reference(self, data):
+        S = data.draw(exact_pointsets())
+        n = len(S)
+        low, high = data.draw(st.sampled_from([(0, 0), (-1, 1)]))
+        family = data.draw(st.lists(exact_segments(n, low, high), min_size=2, max_size=5))
+        if (low, high) == (0, 0) and data.draw(st.booleans()):
+            family = data.draw(st.permutations(all_segments(n)))
+            # greedily keep the segments that cross all kept ones, so that
+            # true families are drawn too, then maybe repeat one
+            for start in range(len(family)):  # the longest greedy run
+                run = []
+                for s in family[start:] + family[:start]:
+                    if all(reference_cross(S, s, t) for t in run):
+                        run.append(s)
+                kept = max(kept, run, key=len) if start else run
+            family = kept + kept[:data.draw(st.integers(0, 1))]
+        assert (outcome(is_crossing_family, S, family)
+                == outcome(reference_is_crossing_family, S, family))
 
 
 def _gp(S):

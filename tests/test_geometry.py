@@ -27,7 +27,15 @@ from crossfam.geometry import (
     to_integer_coordinates,
 )
 from crossfam.crossing import build_crossing_graph
-from conftest import collinear_triple, pairwise_rows, random_pointset
+from conftest import (
+    collinear_triple,
+    exact_pointsets,
+    exact_segments,
+    outcome,
+    pairwise_rows,
+    random_pointset,
+    reference_cross,
+)
 
 
 def P(x, y):
@@ -154,9 +162,11 @@ class TestSegmentsCross:
         assert not segments_cross(S, Segment(0, 1), Segment(2, 3))
 
     def test_endpoint_on_the_other_segment_is_non_crossing(self):
-        # the line of 0-1 splits 2 from 3, but point 1 lies on segment 2-3
+        # the line of 0-1 splits 2 from 3, but point 1 lies on segment 2-3;
+        # in either order, so each side's collinear test is met
         S = PointSet.from_coords([(0, 0), (1, 0), (1, -1), (1, 1)])
         assert not segments_cross(S, Segment(0, 1), Segment(2, 3))
+        assert not segments_cross(S, Segment(2, 3), Segment(0, 1))
 
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
                     min_size=4, max_size=4, unique=True))
@@ -164,6 +174,23 @@ class TestSegmentsCross:
         S = PointSet.from_coords(coords)
         s1, s2 = Segment(0, 1), Segment(2, 3)
         assert segments_cross(S, s1, s2) == segments_cross(S, s2, s1)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_matches_the_orientation_reference(self, data):
+        # int, Fraction and mixed grids: collinear triples, shared endpoints,
+        # a segment against itself, and indices one past either end
+        S = data.draw(exact_pointsets())
+        s1, s2 = data.draw(exact_segments(len(S), -1, 1)), data.draw(exact_segments(len(S), -1, 1))
+        assert outcome(segments_cross, S, s1, s2) == outcome(reference_cross, S, s1, s2)
+        # an endpoint strictly inside the other segment, in either order
+        p, q = S[0], S[1]
+        t = data.draw(st.fractions(0, 1).filter(lambda f: 0 < f < 1))
+        inner = (p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+        T = PointSet.from_coords([(r.x, r.y) for r in S] + [inner])
+        s1, s2 = Segment(0, 1), Segment(len(S), data.draw(st.integers(2, len(S) - 1)))
+        for s, u in ((s1, s2), (s2, s1)):
+            assert segments_cross(T, s, u) == reference_cross(T, s, u)
 
 
 class TestGeneralPosition:

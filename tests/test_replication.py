@@ -128,6 +128,21 @@ class TestReplicate:
             for a, b, c in zip(ids, ids[1:], ids[2:]):
                 assert orientation(S2[a], S2[b], S2[c]) == Orientation.COUNTERCLOCKWISE
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_copies_of_matches_a_scan_of_the_entries(self, seed):
+        # grouped once per map, in entry order; a relabelled map, a trimmed
+        # one and a source with no copies give what a scan of the entries gives
+        S = normalize_coordinates(convex_position_points(5))
+        _, cmap, _ = replicate_certified(S, 3, Fraction(1, 64), total=13)
+        entries = list(cmap.entries)
+        random.Random(seed).shuffle(entries)
+        for m in (cmap, CopyMap(tuple(entries), cmap.source_n)):
+            fresh = CopyMap(m.entries, m.source_n)
+            for src in range(-1, m.source_n + 1):
+                scan = tuple(i for i, (s, _) in enumerate(m.entries) if s == src)
+                assert m.copies_of(src) == scan and type(m.copies_of(src)) is tuple
+            assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
 
 class TestVerifiers:
     def test_m1_vacuous(self):

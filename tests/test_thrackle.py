@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfam.geometry import PointSet, Segment, convex_position_points, segments_cross
 from crossfam.thrackle import (
@@ -11,7 +14,7 @@ from crossfam.thrackle import (
     star_polygon,
 )
 from crossfam.store import load_bundled
-from conftest import random_pointset
+from conftest import exact_pointsets, exact_segments, random_pointset, reference_cross
 
 
 def cycle_graph(S, order):
@@ -49,6 +52,15 @@ class TestIsGeometricThrackle:
         S = convex_position_points(6)
         edges = {Segment(i, (i + 2) % 6) for i in range(6)}
         assert not is_geometric_thrackle(GeometricGraph(S, frozenset(edges)))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_the_orientation_reference(self, data):
+        S = data.draw(exact_pointsets())
+        G = GeometricGraph(S, data.draw(st.frozensets(exact_segments(len(S)), max_size=6)))
+        assert is_geometric_thrackle(G) == all(
+            e.shares_endpoint(f) or reference_cross(S, e, f)
+            for e, f in combinations(G.sorted_edges(), 2))
 
 
 class TestHasEvenCycle:
