@@ -29,7 +29,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .chirotope import _segment_offsets
 from .errors import SizeLimitError
@@ -71,14 +71,7 @@ class SegmentList(Sequence):
         if not 0 <= i < self._len:
             raise IndexError("segment index out of range")
         a = bisect_right(self._starts, i) - 1
-        segment = object.__new__(Segment)  # as all_segments makes it, a < b
-        fields = segment.__dict__
-        fields["a"] = a
-        fields["b"] = i - self._off[a]
-        return segment
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(all_segments(self._n))
+        return Segment(a, i - self._off[a])
 
     def __eq__(self, other: object):
         if isinstance(other, SegmentList):

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -139,23 +139,8 @@ class Segment:
 
 
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Exact sign of the cross product (q - p) x (r - p).
-
-    Integer coordinates go into the formula as they are. Otherwise each axis
-    is scaled by the product of its three denominators, from
-    ``as_integer_ratio()``: a positive scaling keeps the sign, and the
-    formula then runs on integers instead of ``Fraction`` arithmetic.
-    """
-    if int is type(p.x) is type(p.y) is type(q.x) is type(q.y) is type(r.x) is type(r.y):
-        d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    else:
-        (a, u), (b, v), (c, w) = (p.x.as_integer_ratio(), q.x.as_integer_ratio(),
-                                  r.x.as_integer_ratio())
-        px, qx, rx = a * v * w, b * u * w, c * u * v
-        (a, u), (b, v), (c, w) = (p.y.as_integer_ratio(), q.y.as_integer_ratio(),
-                                  r.y.as_integer_ratio())
-        py, qy, ry = a * v * w, b * u * w, c * u * v
-        d = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    """Exact sign of the cross product (q - p) x (r - p), on ints, Fractions or a mix."""
+    d = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
     if d > 0:
         return Orientation.COUNTERCLOCKWISE
     if d < 0:
@@ -281,18 +266,5 @@ def convex_position_points(n: int) -> PointSet:
 
 
 def all_segments(n: int) -> tuple[Segment, ...]:
-    """All C(n, 2) segments over point labels 0..n-1, in lexicographic order.
-
-    ``combinations`` yields a < b, so the check and swap of ``Segment``'s
-    ``__init__`` would do nothing: each segment is made bare and its fields
-    are written to its ``__dict__``, the object ``Segment(a, b)`` makes, in
-    half the time.
-    """
-    new, segments = object.__new__, []
-    for a, b in combinations(range(n), 2):
-        segment = new(Segment)
-        fields = segment.__dict__
-        fields["a"] = a
-        fields["b"] = b
-        segments.append(segment)
-    return tuple(segments)
+    """All C(n, 2) segments over point labels 0..n-1, in lexicographic order."""
+    return tuple(starmap(Segment, combinations(range(n), 2)))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -23,11 +24,14 @@ from crossfam.crossing import (
 )
 from crossfam.errors import InvalidSegmentError, NotGeneralPositionError, SizeLimitError
 from crossfam.geometry import (
+    Orientation,
+    Point,
     PointSet,
     Segment,
     all_segments,
     convex_position_points,
     normalize_coordinates,
+    orientation,
     segments_cross,
 )
 from crossfam.replication import replicate_certified
@@ -128,6 +132,25 @@ def test_segment_list_reads_as_all_segments(n):
     assert segments != list(made)
 
 
+def test_every_segment_comes_from_its_constructor(monkeypatch):
+    # all_segments and a graph's segment list make each Segment through
+    # Segment(...), so its check and ordering run once per segment handed out
+    calls = []
+    post_init = Segment.__post_init__
+    monkeypatch.setattr(Segment, "__post_init__", lambda self: calls.append(1) or post_init(self))
+    for n in range(13):
+        calls.clear()
+        assert len(all_segments(n)) == len(calls) == comb(n, 2)
+    segments = build_crossing_graph(random_pointset(random.Random(5), 9)).segments
+    calls.clear()
+    read = [segments[i] for i in range(len(segments))]
+    assert len(calls) == len(read) == 36
+    calls.clear()
+    assert segments[-3] == read[-3] and len(calls) == 1
+    calls.clear()
+    assert segments[4:30:5] == tuple(read[4:30:5]) and len(calls) == 6
+
+
 @pytest.mark.parametrize("name", ["n4_cf1", "n9_cf2", "n14_cf3", "n20_cf4"])
 def test_witnesses_map_through_the_segment_list(name):
     # the witness indices, mapped through the tuple, give the segments the
@@ -175,6 +198,33 @@ def test_checks_and_oracle_read_no_kernel_table(monkeypatch):
     assert segments_cross(S, *family) and is_crossing_family(S, family)
     assert brute_force_cf(S) == 2
     assert "side_masks" not in vars(S) and "crossing_rows" not in vars(S)
+
+
+def test_reference_orientation_shares_no_code_with_the_crossing_checks(monkeypatch):
+    # conftest.reference_cross checks _crosses through the public orientation,
+    # which holds only while orientation runs none of _scaled, _crosses or the kernel
+    from crossfam import chirotope, geometry
+
+    def refuse(*args):
+        raise AssertionError("orientation read the code it is the reference for")
+
+    for module, name in ((geometry, "_scaled"), (geometry, "_crosses"),
+                         (geometry, "side_masks"), (chirotope, "side_masks")):
+        monkeypatch.setattr(module, name, refuse)
+    third = Fraction(1, 3)
+    cases = [
+        ((0, 0), (1, 0), (0, 1), Orientation.COUNTERCLOCKWISE),
+        ((0, 0), (1, 0), (2, 0), Orientation.COLLINEAR),
+        ((0, 0), (0, 1), (1, 0), Orientation.CLOCKWISE),
+        ((third, 0), (1, 0), (0, Fraction(1, 7)), Orientation.COUNTERCLOCKWISE),
+        ((third, third), (Fraction(2, 3), Fraction(2, 3)), (Fraction(5, 3), Fraction(5, 3)),
+         Orientation.COLLINEAR),
+        ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)),
+         Orientation.CLOCKWISE),
+        ((0, third), (1, Fraction(4, 3)), (2, 2), Orientation.CLOCKWISE),
+    ]
+    for p, q, r, expected in cases:
+        assert orientation(Point(*p), Point(*q), Point(*r)) == expected
 
 
 class TestMaxCrossingFamily:
