@@ -18,6 +18,12 @@ strictly on one side, so the entry of (b, a) is the complement of that of
 (a, b), and orient(a, b, c) > 0 iff b is in the mask of (c, a) iff a is in
 the mask of (b, c).
 
+The full table comes from one rotational sweep over the C(n, 2) pair
+directions, O(n^2 log n) work, with floats used only as sort keys whose
+order is checked exactly (:func:`side_masks` gives the argument). The
+reads of one point's or a few pairs' lines (:func:`point_masks`,
+:func:`pair_masks`) take one determinant per triple they read.
+
 Questions about one line and many points are then a few big-int
 operations. Rows are bitsets over segments in lexicographic order, the
 order of :func:`crossfam.geometry.all_segments`. Segment cd crosses ab iff
@@ -36,50 +42,128 @@ where a triple flipped.
 from __future__ import annotations
 
 import struct
-from functools import cache
-from itertools import combinations
+from functools import cache, cmp_to_key, partial
+from itertools import combinations, compress
+from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotGeneralPositionError
 
 
 def side_masks(coords: list[tuple[int, int]]) -> list[int]:
-    """Side masks of every ordered pair of an integer coordinate list.
+    """Side masks of every ordered pair of an integer coordinate list, by a rotational sweep.
 
-    One determinant per sorted triple a < b < c fills the entries with
-    a < b, and the reversed pair is the complement. Raises
-    :class:`NotGeneralPositionError` naming the first collinear triple in
-    lexicographic order.
+    Each pair runs from tail to head, its (y, x)-smaller point to the
+    larger, so its direction lies in [0, pi); the C(n, 2) directions are
+    sorted by angle. A line turning through those angles meets the points
+    in an order that changes only at a pair's direction, where its tail and
+    head are adjacent and swap (the allowable sequence of the set; Goodman
+    & Pollack 1980). The sweep starts from the (y, x) order, the order just
+    before the angle 0, and at each pair the points beyond it are those
+    left of tail -> head: the mask is a suffix bitset of the order, and the
+    reversed pair's mask the prefix before it. Past the sort each pair
+    costs O(1) big-int operations, so the table takes O(n^2 log n) work,
+    where one determinant per triple would take C(n, 3).
+
+    The directions are sorted on the float ``-dx/dy`` (horizontal pairs
+    first). Python's int / int is correctly rounded, hence monotone, so
+    only pairs with equal keys can be out of exact order, and each such
+    neighbour pair is checked with an integer cross product. If one is out
+    of order, or a key overflows, the pairs are sorted again by cross
+    products alone. Unequal keys order their pairs exactly, by
+    monotonicity, and equal ones are ordered by the check, so the table is
+    exact. The set is in general position iff no two points
+    coincide and no two parallel pairs share a point. Otherwise
+    :class:`NotGeneralPositionError` names the first collinear triple in
+    lexicographic order, or for two points, the coincident pair.
     """
     n = len(coords)
+    if len(set(coords)) < n:
+        _raise_degenerate(coords)
+    order = sorted(range(n), key=lambda i: (coords[i][1], coords[i][0]))
+    ranked = [(*coords[i], i) for i in order]
+    horizontal = float("-inf")
+    pairs = []
+    try:
+        for a, (xa, ya, tail) in enumerate(ranked):
+            pairs += [((xa - xb) / dy if (dy := yb - ya) else horizontal, tail, head)
+                      for xb, yb, head in ranked[a + 1:]]
+    except OverflowError:
+        ordered = False
+    else:
+        pairs.sort()
+        keys = list(map(itemgetter(0), pairs))
+        ties = compress(range(1, len(pairs)), map(eq, keys, keys[1:]))
+        ordered = _exactly_ordered(pairs, ties, coords)
+    if not ordered:
+        # listed tail by tail, so the stable sort keeps one angle's pairs grouped by tail
+        pairs = [(0.0, tail, head) for a, tail in enumerate(order) for head in order[a + 1:]]
+        pairs.sort(key=cmp_to_key(partial(_angle_order, coords)))
+        _exactly_ordered(pairs, range(1, len(pairs)), coords)
     left = [0] * (n * n)
-    bit = [1 << i for i in range(n)]
     every = (1 << n) - 1
-    for a in range(n - 1):
-        ax, ay = coords[a]
-        rel = [(x - ax, y - ay) for x, y in coords]
-        an = a * n
-        abit = bit[a]
-        for b in range(a + 1, n):
-            ux, uy = rel[b]
-            bn = b * n
-            bbit = bit[b]
-            row = left[an + b]
-            for c in range(b + 1, n):
-                vx, vy = rel[c]
-                det = ux * vy - uy * vx
-                if det > 0:  # c left of a->b, a left of b->c, b right of a->c
-                    row |= bit[c]
-                    left[bn + c] |= abit
-                elif det < 0:  # b left of a->c
-                    left[an + c] |= bbit
-                else:
-                    raise NotGeneralPositionError(
-                        f"points {(a, b, c)} are collinear", (a, b, c)
-                    )
-            left[an + b] = row
-            left[bn + a] = every ^ row ^ abit ^ bbit
+    bit = [1 << i for i in range(n)]
+    pos = [0] * n
+    suffix = [0] * (n + 2)  # suffix[k]: the points at positions k and beyond
+    beyond = 0
+    for k in range(n - 1, -1, -1):
+        p = order[k]
+        pos[p] = k
+        beyond |= bit[p]
+        suffix[k] = beyond
+    for _, tail, head in pairs:
+        k = pos[tail]  # head is at k + 1
+        mask = suffix[k + 2]
+        left[tail * n + head] = mask
+        left[head * n + tail] = every ^ suffix[k]
+        suffix[k + 1] = mask | bit[tail]
+        pos[tail] = k + 1
+        pos[head] = k
     return left
+
+
+def _angle_order(coords: list[tuple[int, int]], p: tuple, q: tuple) -> int:
+    """-1, 0 or 1 as the direction of pair p is before, at or after that of q, exactly."""
+    (ax, ay), (bx, by) = coords[p[1]], coords[p[2]]
+    (cx, cy), (dx, dy) = coords[q[1]], coords[q[2]]
+    cross = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
+    return (cross < 0) - (cross > 0)
+
+
+def _exactly_ordered(pairs: list[tuple], ties: Iterable[int],
+                     coords: list[tuple[int, int]]) -> bool:
+    """Whether each pair i of ``ties`` is at or after pair i - 1 in exact angular order.
+
+    Raises :class:`NotGeneralPositionError` when two such neighbours are
+    parallel with one tail. Three collinear points p, q, r, in (y, x)
+    order, make the parallel pairs (p, q) and (p, r), and either sort keeps
+    the pairs of one angle grouped by tail (the float sort orders equal
+    keys by tail; the exact one is stable, from a list grouped by tail), so
+    once the order is exact some neighbours share a tail iff the set has a
+    collinear triple.
+    """
+    for i in ties:
+        order = _angle_order(coords, pairs[i - 1], pairs[i])
+        if order > 0:
+            return False
+        if not order and pairs[i - 1][1] == pairs[i][1]:
+            _raise_degenerate(coords)
+    return True
+
+
+def _raise_degenerate(coords: list[tuple[int, int]]) -> None:
+    """Raise :class:`NotGeneralPositionError` for a set known not to be in general position."""
+    n = len(coords)
+    for a in range(n - 2):
+        ax, ay = coords[a]
+        for b in range(a + 1, n - 1):
+            ux = coords[b][0] - ax
+            uy = coords[b][1] - ay
+            for c in range(b + 1, n):
+                if ux * (coords[c][1] - ay) == uy * (coords[c][0] - ax):
+                    raise NotGeneralPositionError(f"points {(a, b, c)} are collinear", (a, b, c))
+    # with no third point, only two coincident points remain
+    raise NotGeneralPositionError("points 0 and 1 coincide")
 
 
 def restrict_masks(left: Sequence[int], n: int, kept: Sequence[int]) -> list[int]:

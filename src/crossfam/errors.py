@@ -6,7 +6,7 @@ class CrossfamError(Exception):
 
 
 class NotGeneralPositionError(CrossfamError):
-    """A point set required to be in general position has three collinear points.
+    """A point set required to be in general position has collinear or coincident points.
 
     ``triple`` names the collinear index triple when the raiser knows it.
     """

@@ -1,14 +1,17 @@
 """Exact planar primitives: orientation, proper crossing, general position.
 
 All predicates run on arbitrary-precision rationals (plain ``int`` or
-``fractions.Fraction``); there is no floating-point path, so results are
-exact for inputs of any size. Crossing structure is combinatorially fragile
-and the replication construction relies on arbitrarily small spacings, which
-rules out approximate arithmetic.
+``fractions.Fraction``), so results are exact for inputs of any size. No
+predicate is decided in floating point: the one float is the sort key of
+the side-mask sweep in :mod:`crossfam.chirotope`, correctly rounded so that
+it can misorder only equal keys, and those are checked there with integer
+cross products. Crossing structure is combinatorially fragile and the
+replication construction relies on arbitrarily small spacings, which rules
+out approximate arithmetic.
 
 ``PointSet.side_masks`` is the one way a point set reaches the kernel of
 :mod:`crossfam.chirotope`; it is kept with the set, so every question asked
-of one set shares one pass over its triples. Beside it the set keeps its
+of one set shares one pass of the kernel. Beside it the set keeps its
 segment sides and crossing rows, ``PointSet.segment_sides`` and
 ``PointSet.crossing_rows``, so the crossing graph of one set is built once
 however many questions are asked of it. ``PointSet.subset``
@@ -194,7 +197,10 @@ def _crosses(p: tuple[int, int], q: tuple[int, int],
 
 
 def is_general_position(S: PointSet) -> bool:
-    """True iff no three points are collinear (vacuously true for n < 3), by the kernel."""
+    """True iff no two points coincide and no three are collinear, by the kernel.
+
+    Sets of 0 and 1 points are in general position.
+    """
     try:
         S.side_masks
     except NotGeneralPositionError:

@@ -337,6 +337,19 @@ def collinear_triple(coords) -> tuple[int, int, int] | None:
     return None
 
 
+def degeneracy(coords) -> str | None:
+    """The kernel's message for exact coordinates not in general position, else None.
+
+    The first collinear triple; with no third point, two coincident points.
+    """
+    bad = collinear_triple(coords)
+    if bad is not None:
+        return f"points {bad} are collinear"
+    if len(set(coords)) < len(coords):
+        return "points 0 and 1 coincide"
+    return None
+
+
 # 9-point configuration with no 3-crossing family, recovered by the bundled
 # annealer and re-verified by both exact solvers at package time.
 NINE_POINT_CF2 = (

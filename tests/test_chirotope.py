@@ -1,11 +1,13 @@
 import hashlib
 import random
-from itertools import combinations
+from functools import cmp_to_key
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossfam import chirotope
 from crossfam.chirotope import (
     crossing_rows,
     pair_masks,
@@ -18,10 +20,16 @@ from crossfam.chirotope import (
 )
 from crossfam.crossing import build_crossing_graph
 from crossfam.errors import NotGeneralPositionError
-from crossfam.geometry import PointSet, all_segments, normalize_coordinates, orientation
+from crossfam.geometry import (
+    PointSet,
+    all_segments,
+    integer_coordinates,
+    normalize_coordinates,
+    orientation,
+)
 from crossfam.replication import replicate_certified
 from crossfam.store import load_bundled
-from conftest import collinear_triple, pairwise_rows, random_pointset
+from conftest import collinear_triple, degeneracy, pairwise_rows, random_pointset
 
 # The small grid makes collinear triples and repeated points common; the
 # large one mostly yields sets in general position.
@@ -34,11 +42,11 @@ small_sets = st.sampled_from([6, 10_000]).flatmap(lambda r: st.lists(
 @given(small_sets)
 def test_graph_matches_pairwise_predicate(coords):
     S = PointSet.from_coords(coords)
-    bad = collinear_triple(coords)
-    if bad is not None:
+    message = degeneracy(coords)
+    if message is not None:
         with pytest.raises(NotGeneralPositionError) as exc:
             build_crossing_graph(S)
-        assert str(exc.value) == f"points {bad} are collinear"
+        assert str(exc.value) == message
         return
     assert list(build_crossing_graph(S).adjacency) == pairwise_rows(S)
 
@@ -101,28 +109,149 @@ def test_rows_of_bundled_sets_and_replicas_are_pinned(name, m, digest):
     assert hashlib.sha256(repr(S.crossing_rows).encode()).hexdigest() == digest
 
 
+def orientation_table(coords) -> list[int]:
+    """The side-mask table from :func:`orientation` on every ordered triple."""
+    S = PointSet.from_coords(coords)
+    n = len(S)
+    return [sum(1 << c for c in range(n) if a != b and c not in (a, b)
+                and orientation(S[a], S[b], S[c]) > 0)
+            for a in range(n) for b in range(n)]
+
+
+def greedy_general_position(coords) -> list[tuple[int, int]]:
+    """The points of ``coords`` taken in turn, each kept if no two kept points and it are collinear."""
+    kept = []
+    for p in coords:
+        if p not in kept and collinear_triple(kept + [p]) is None:
+            kept.append(p)
+    return kept
+
+
+@st.composite
+def swept_sets(draw):
+    """Small-grid sets, many of their pairs parallel, spread so that the sweep's
+    float keys tie or overflow.
+
+    Spread by 2**60 and moved by at most 2, pairs once parallel are nearly
+    parallel and share a float key. Scaling one axis keeps the order type:
+    by 10**400 on x every key of a pair not horizontal is past float range,
+    and on y every such key rounds to 0.0. The greedy subset keeps most sets
+    in general position.
+    """
+    grid = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=14))
+    if draw(st.booleans()):
+        moves = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                              min_size=len(grid), max_size=len(grid)))
+        grid = [(x * 2**60 + dx, y * 2**60 + dy) for (x, y), (dx, dy) in zip(grid, moves)]
+    sx, sy = draw(st.sampled_from([(1, 1), (10**400, 1), (1, 10**400)]))
+    coords = [(x * sx, y * sy) for x, y in grid]
+    return greedy_general_position(coords) if draw(st.booleans()) else coords
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_sets)
+@given(st.one_of(small_sets, swept_sets()))
 def test_side_masks_match_direct_orientation(coords):
-    bad = collinear_triple(coords)
-    if bad is not None:
+    message = degeneracy(coords)
+    if message is not None:
         with pytest.raises(NotGeneralPositionError) as exc:
             side_masks(coords)
-        assert str(exc.value) == f"points {bad} are collinear"
-        assert exc.value.triple == bad
+        assert str(exc.value) == message
+        assert exc.value.triple == collinear_triple(coords)
         return
-    n = len(coords)
-    S = PointSet.from_coords(coords)
-    left = side_masks(coords)
-    assert len(left) == n * n
-    for a in range(n):
-        for b in range(n):
-            expected = 0
-            if a != b:
-                for c in range(n):
-                    if c not in (a, b) and orientation(S[a], S[b], S[c]) > 0:
-                        expected |= 1 << c
-            assert left[a * n + b] == expected, (a, b)
+    assert side_masks(coords) == orientation_table(coords)
+
+
+def kernel_pool():
+    """Seeded sets of 0 to 60 points, in general position or not, for the pinned digest.
+
+    Per size: a wide random set, distinct points of a 9 x 9 grid, and from
+    3 points on, points of a 5 x 5 grid that may repeat; then the full 4 x 4
+    to 6 x 6 grids and 20 greedy general-position subsets of each, sets
+    whose pairs are parallel in many runs.
+    """
+    rng = random.Random(36)
+    for n in range(61):
+        yield [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(n)]
+        yield rng.sample([(x, y) for x in range(-4, 5) for y in range(-4, 5)], n)
+        if n >= 3:
+            yield [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+    for side in (4, 5, 6):
+        grid = [(x, y) for x in range(side) for y in range(side)]
+        yield grid
+        for _ in range(20):
+            yield greedy_general_position(rng.sample(grid, len(grid)))
+
+
+def test_kernel_pool_digest_is_pinned():
+    # SHA-256 of each set's table, or its error message and triple, recorded
+    # with the kernel that took one determinant per sorted triple.
+    digest = hashlib.sha256()
+    for coords in kernel_pool():
+        try:
+            outcome = tuple(side_masks(coords))
+        except NotGeneralPositionError as exc:
+            outcome = str(exc), exc.triple
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == "3627ee74e22df270dc6a0d73c72b84ec7904e69b9652e27eb30751f4d6216496"
+
+
+@pytest.fixture
+def exact_sorts(monkeypatch):
+    """One entry per sort of the kernel's pairs by exact comparison."""
+    sorts = []
+
+    def counted(compare):
+        sorts.append(compare)
+        return cmp_to_key(compare)
+
+    monkeypatch.setattr(chirotope, "cmp_to_key", counted)
+    return sorts
+
+
+def test_float_ties_of_distinct_directions_are_ordered_exactly(exact_sorts):
+    # The directions 0 -> 1, 0 -> 2 and 1 -> 2 differ by less than a float's
+    # resolution at 10**17, so their keys are equal; the labelings that list
+    # them out of exact order take the exact sort.
+    base = [(0, 0), (10**17, 1), (2 * 10**17 + 1, 2), (5, -3)]
+    labelings = list(permutations(range(4)))
+    for labels in labelings:
+        coords = [base[i] for i in labels]
+        assert side_masks(coords) == orientation_table(coords)
+    assert 0 < len(exact_sorts) < len(labelings)
+
+
+@pytest.mark.parametrize("scale", [(10**400, 1), (1, 10**400)])
+def test_keys_past_float_range_take_the_exact_sort(exact_sorts, scale):
+    # A positive scaling of one axis changes no orientation. Scaled on x,
+    # the keys overflow; on y, they all round to 0.0 and tie out of order.
+    S, _ = load_bundled("n14_cf3")
+    coords = integer_coordinates(S)
+    scaled = [(x * scale[0], y * scale[1]) for x, y in coords]
+    assert side_masks(scaled) == side_masks(coords)
+    assert len(exact_sorts) == 1
+
+
+@pytest.mark.parametrize("coords, table", [
+    ([], []),
+    ([(5, -2)], [0]),
+    ([(0, 0), (1, 0)], [0, 0, 0, 0]),
+    ([(0, 0), (1, 0), (0, 1)], [0, 0b100, 0, 0, 0, 0b1, 0b10, 0, 0]),
+])
+def test_tables_of_up_to_three_points(coords, table):
+    assert side_masks(coords) == table == orientation_table(coords)
+
+
+@pytest.mark.parametrize("coords, message, triple", [
+    ([(1, 1), (1, 1)], "points 0 and 1 coincide", None),
+    ([(0, 0), (2, 2), (0, 0)], "points (0, 1, 2) are collinear", (0, 1, 2)),
+    ([(0, 0), (1, 2), (2, 4)], "points (0, 1, 2) are collinear", (0, 1, 2)),
+    ([(0, 0), (10**400, 1), (2 * 10**400, 2)], "points (0, 1, 2) are collinear", (0, 1, 2)),
+])
+def test_degenerate_sets_of_up_to_three_points(coords, message, triple):
+    with pytest.raises(NotGeneralPositionError) as exc:
+        side_masks(coords)
+    assert str(exc.value) == message
+    assert exc.value.triple == triple
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,7 +288,7 @@ def test_pair_masks_match_direct_orientation(coords, data):
         return
     assert masks == [sum(1 << c for c in range(n) if orientation(S[a], S[b], S[c]) > 0)
                      for a, b in pairs]
-    if collinear_triple(coords) is None:
+    if degeneracy(coords) is None:
         left = side_masks(coords)
         assert masks == [left[a * n + b] for a, b in pairs]
 

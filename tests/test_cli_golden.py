@@ -28,6 +28,7 @@ def write_inputs(tmp: Path) -> None:
     """The input files the golden command lines name."""
     (tmp / "pentagon.txt").write_text(format_pointset(convex_position_points(5)))
     (tmp / "collinear.txt").write_text("3\n0 0\n1 1\n2 2\n")
+    (tmp / "coincident.txt").write_text("2\n3 4\n3 4\n")
     (tmp / "star.txt").write_text("5\n0 0\n1 1\n2 4\n3 9\n4 16\nedges\n0 2\n2 4\n1 4\n1 3\n0 3\n")
     config = SearchConfig(n=7, k=3, seed=1, iterations=40)
     (tmp / "run.cfg").write_text(format_search_config(config))
@@ -121,6 +122,12 @@ GOLDEN = {
         1,
         '',
         'error: points (0, 1, 2) are collinear\n',
+        {},
+    ),
+    'cf {tmp}/coincident.txt': (
+        1,
+        '',
+        'error: points 0 and 1 coincide\n',
         {},
     ),
     'decide {tmp}/pentagon.txt --k 2': (

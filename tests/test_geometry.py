@@ -28,7 +28,7 @@ from crossfam.geometry import (
 )
 from crossfam.crossing import build_crossing_graph
 from conftest import (
-    collinear_triple,
+    degeneracy,
     exact_pointsets,
     exact_segments,
     outcome,
@@ -206,7 +206,15 @@ class TestGeneralPosition:
 
     def test_small_sets_vacuous(self):
         assert is_general_position(PointSet.from_coords([(0, 0), (5, 5)]))
+        assert is_general_position(PointSet.from_coords([(0, 0)]))
         assert is_general_position(PointSet.from_coords([]))
+
+    def test_two_coincident_points(self):
+        S = PointSet.from_coords([(3, Fraction(1, 2)), (3, Fraction(2, 4))])
+        assert not is_general_position(S)
+        with pytest.raises(NotGeneralPositionError, match=r"^points 0 and 1 coincide$") as exc:
+            S.side_masks
+        assert exc.value.triple is None
 
     # Small ranges make coincident points and collinear triples common.
     @settings(max_examples=200, deadline=None)
@@ -220,7 +228,7 @@ class TestGeneralPosition:
     @example([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (Fraction(3, 2), Fraction(2, 3))])
     @example([(Fraction(1, 2), 0), (1, Fraction(1, 3)), (Fraction(3, 2), Fraction(3, 4))])
     def test_agrees_with_pairwise_oracle(self, coords):
-        expected = collinear_triple(coords) is None
+        expected = degeneracy(coords) is None
         assert is_general_position(PointSet.from_coords(coords)) == expected
 
 
